@@ -6,10 +6,9 @@
 //
 // Two layers:
 //
-//   1. FuncScanner: a one-pass abstract interpreter over one validated
-//      body, mirroring the validator's control/height walk (the same
-//      discipline as the verifier's BodyScanner) but carrying an abstract
-//      operand stack of known-constant values. One pass yields the
+//   1. FactCollector: a visitor of the validator's own walk over one
+//      validated body (wasm/walker.h), whose operand slots carry known
+//      constants beside their types. One pass yields the
 //      reachable operand-stack bound, loop/grow/call facts, the direct and
 //      indirect call edges, the unconditional-prefix ("must") call set and
 //      the site-level lints (guaranteed traps, dead br_table cases).
@@ -31,8 +30,7 @@
 
 #include "support/format.h"
 #include "support/json.h"
-#include "wasm/codereader.h"
-#include "wasm/opcodes.h"
+#include "wasm/walker.h"
 
 #include <algorithm>
 #include <deque>
@@ -44,41 +42,6 @@ namespace {
 /// Bytes per linear-memory page (kept local: the analysis library depends
 /// only on the wasm layer, not the runtime).
 constexpr uint64_t AnalysisPageSize = 65536;
-
-/// Bytes touched by one memory access opcode; 0 = not a memory access.
-uint32_t memAccessSize(Opcode Op) {
-  switch (Op) {
-  case Opcode::I32Load8S:
-  case Opcode::I32Load8U:
-  case Opcode::I64Load8S:
-  case Opcode::I64Load8U:
-  case Opcode::I32Store8:
-  case Opcode::I64Store8:
-    return 1;
-  case Opcode::I32Load16S:
-  case Opcode::I32Load16U:
-  case Opcode::I64Load16S:
-  case Opcode::I64Load16U:
-  case Opcode::I32Store16:
-  case Opcode::I64Store16:
-    return 2;
-  case Opcode::I32Load:
-  case Opcode::F32Load:
-  case Opcode::I64Load32S:
-  case Opcode::I64Load32U:
-  case Opcode::I32Store:
-  case Opcode::F32Store:
-  case Opcode::I64Store32:
-    return 4;
-  case Opcode::I64Load:
-  case Opcode::F64Load:
-  case Opcode::I64Store:
-  case Opcode::F64Store:
-    return 8;
-  default:
-    return 0;
-  }
-}
 
 bool isIntDivOrRem(Opcode Op) {
   switch (Op) {
@@ -102,24 +65,20 @@ struct AbsVal {
   uint64_t Bits = 0;
 };
 
-/// Heights-only mirror of the validator's control frame, plus the dead-
-/// context marker the lint layer needs (a frame opened inside dead code
-/// stays dead even after `else` clears its own Unreachable flag).
-struct AFrame {
-  uint32_t Height = 0;
-  uint32_t NParams = 0;
-  uint32_t NResults = 0;
-  bool IsLoop = false;
-  bool Unreachable = false;
-  bool DeadContext = false;
-
-  uint32_t labelArity() const { return IsLoop ? NParams : NResults; }
-};
-
-class FuncScanner {
+/// The analyzer's visitor of the body walk: each slot carries a known
+/// constant or Top, and the walk's liveness (live()) gates every fact
+/// that must hold on an execution. The walker's typed stack discipline
+/// (local.tee and br_if keep their operand) is what carries constants
+/// into the lint sites.
+class FactCollector : public BodyWalker<FactCollector, AbsVal> {
 public:
-  FuncScanner(const Module &M, const FuncDecl &F)
-      : M(M), F(F), R(M.Bytes.data(), F.BodyStart, F.BodyEnd) {
+  FactCollector(const Module &M, const FuncDecl &F,
+                std::vector<LintFinding> *Lints,
+                std::vector<uint32_t> *IndirectTypes,
+                std::vector<uint32_t> *RefFuncs,
+                std::vector<uint32_t> *MustCallees)
+      : BodyWalker(M, F), Lints(Lints), IndirectTypes(IndirectTypes),
+        RefFuncs(RefFuncs), MustCallees(MustCallees) {
     if (!M.Memories.empty()) {
       const Limits &L = M.Memories[0].Lim;
       MaxMemBytes =
@@ -127,52 +86,116 @@ public:
     }
   }
 
-  /// Runs the pass; bodies are validated, so a malformed body is a bug in
-  /// this mirror, reported by zeroing the facts conservatively.
-  FuncFacts run(std::vector<LintFinding> *Lints,
-                std::vector<uint32_t> *IndirectTypes,
-                std::vector<uint32_t> *RefFuncs,
-                std::vector<uint32_t> *MustCallees);
-
-private:
-  bool live() const {
-    const AFrame &C = Frames.back();
-    return !C.Unreachable && !C.DeadContext;
+  /// Runs the pass; bodies are validated, so a walk failure is a bug
+  /// elsewhere, and the facts gathered up to it stand.
+  FuncFacts run() {
+    Facts.FuncIndex = F.Index;
+    Facts.Imported = F.Imported;
+    if (F.Imported)
+      return Facts;
+    (void)walk();
+    std::sort(Facts.Callees.begin(), Facts.Callees.end());
+    Facts.Callees.erase(
+        std::unique(Facts.Callees.begin(), Facts.Callees.end()),
+        Facts.Callees.end());
+    Facts.FrameSlotBound = F.numLocalSlots() + Facts.StackBound;
+    return Facts;
   }
-  void pop(uint32_t N) {
-    AFrame &C = Frames.back();
-    for (uint32_t I = 0; I < N; ++I) {
-      if (Height > C.Height) {
-        --Height;
-        Stack.pop_back();
+
+  AbsVal constant(uint64_t Bits) { return {true, Bits}; }
+
+  void beforeOp(Opcode Op, uint32_t) {
+    switch (Op) {
+    case Opcode::Loop:
+      // Entering a loop still falls through into the body exactly once,
+      // so the unconditional prefix continues (backedges only repeat it).
+      Facts.HasLoop = true;
+      break;
+    case Opcode::MemoryGrow:
+      Facts.GrowsMemory = true;
+      break;
+    case Opcode::Unreachable:
+    case Opcode::If:
+    case Opcode::Br:
+    case Opcode::BrIf:
+    case Opcode::BrTable:
+    case Opcode::Return:
+      MustPrefix = false;
+      break;
+    default:
+      break;
+    }
+  }
+
+  /// Guaranteed-trap lints: a site that traps on every execution that
+  /// reaches it. Constant divisor of zero, or a constant-address memory
+  /// access that exceeds the largest memory this module can ever hold
+  /// (declared max, or the architecture page limit).
+  void onSimple(Opcode Op, const OpInfo &Info, uint32_t Offset, uint32_t Pc) {
+    if (!live())
+      return;
+    if (isIntDivOrRem(Op)) {
+      AbsVal Divisor = peek(0);
+      uint64_t Mask = (Op >= Opcode::I64DivS) ? ~0ull : 0xffffffffull;
+      if (Divisor.Known && (Divisor.Bits & Mask) == 0)
+        lint(LintFinding::GuaranteedTrap, Pc,
+             strFormat("%s: divisor is constant 0 (guaranteed divide "
+                       "trap)",
+                       Info.Name));
+    } else if (uint32_t Size = memAccessSize(Op)) {
+      AbsVal Addr = peek(Info.NPop - 1); // Deepest popped operand.
+      if (Addr.Known) {
+        uint64_t Effective =
+            (Addr.Bits & 0xffffffffull) + uint64_t(Offset) + Size;
+        if (Effective > MaxMemBytes)
+          lint(LintFinding::GuaranteedTrap, Pc,
+               strFormat("%s: constant address 0x%llx + offset %u + "
+                         "%u bytes exceeds the maximum possible memory "
+                         "of %llu bytes (guaranteed out-of-bounds trap)",
+                         Info.Name,
+                         (unsigned long long)(Addr.Bits & 0xffffffffull),
+                         Offset, Size, (unsigned long long)MaxMemBytes));
       }
     }
   }
-  void pushUnknown(uint32_t N) {
-    Height += N;
-    Stack.resize(Height);
+
+  void onBrTable(uint32_t N, uint32_t Pc) {
+    AbsVal Sel = peek(0);
+    if (live() && Sel.Known && N > 0) {
+      uint32_t K = uint32_t(Sel.Bits);
+      uint32_t DeadCases = K < N ? N - 1 : N;
+      lint(LintFinding::DeadBrTableCase, Pc,
+           strFormat("br_table: selector is constant %u, so %u of %u "
+                     "case(s) can never be selected",
+                     K, DeadCases, N));
+    }
   }
-  void pushConst(uint64_t Bits) {
-    ++Height;
-    Stack.push_back({true, Bits});
+
+  void onCall(uint32_t FuncIdx) {
+    if (!live())
+      return;
+    Facts.Callees.push_back(FuncIdx);
+    if (MustPrefix)
+      MustCallees->push_back(FuncIdx);
   }
-  /// The abstract operand \p Depth slots below the top (0 = top). Top when
-  /// the slot is clamped away in dead code.
-  AbsVal peek(uint32_t Depth) const {
-    if (Depth >= Stack.size())
-      return {};
-    return Stack[Stack.size() - 1 - Depth];
+  void onCallIndirect(uint32_t TypeIdx) {
+    if (!live())
+      return;
+    Facts.HasIndirectCall = true;
+    IndirectTypes->push_back(TypeIdx);
   }
-  void markUnreachable() {
-    Height = Frames.back().Height;
-    Stack.resize(Height);
-    Frames.back().Unreachable = true;
+  void onRefFunc(uint32_t FuncIdx) {
+    if (live())
+      RefFuncs->push_back(FuncIdx);
   }
-  void noteHeight() {
-    if (live() && Height > Facts.StackBound)
-      Facts.StackBound = Height;
+
+  /// The reachable operand-stack bound.
+  void afterOp(Opcode) {
+    if (live() && height() > Facts.StackBound)
+      Facts.StackBound = height();
   }
-  void endMustPrefix() { MustPrefix = false; }
+
+private:
   void lint(LintFinding::Kind K, uint32_t Ip, std::string Detail) {
     LintFinding L;
     L.K = K;
@@ -181,392 +204,17 @@ private:
     L.Detail = std::move(Detail);
     Lints->push_back(std::move(L));
   }
-  bool blockArity(uint32_t *NP, uint32_t *NR);
-  bool scanOp(Opcode Op, uint32_t OpPos);
 
-  const Module &M;
-  const FuncDecl &F;
-  CodeReader R;
-  std::vector<AFrame> Frames;
-  std::vector<AbsVal> Stack;
-  uint32_t Height = 0;
   uint64_t MaxMemBytes = 0;
-  bool Done = false;
   /// Still on the unconditional prefix: every opcode so far executes on
   /// every trap-free complete run of the function.
   bool MustPrefix = true;
   FuncFacts Facts;
-  std::vector<LintFinding> *Lints = nullptr;
-  std::vector<uint32_t> *IndirectTypes = nullptr;
-  std::vector<uint32_t> *RefFuncs = nullptr;
-  std::vector<uint32_t> *MustCallees = nullptr;
+  std::vector<LintFinding> *Lints;
+  std::vector<uint32_t> *IndirectTypes;
+  std::vector<uint32_t> *RefFuncs;
+  std::vector<uint32_t> *MustCallees;
 };
-
-bool FuncScanner::blockArity(uint32_t *NP, uint32_t *NR) {
-  BlockType BT = R.readBlockType();
-  if (!R.ok())
-    return false;
-  switch (BT.K) {
-  case BlockType::Empty:
-    *NP = *NR = 0;
-    return true;
-  case BlockType::OneResult:
-    *NP = 0;
-    *NR = 1;
-    return true;
-  case BlockType::FuncTypeIdx:
-    if (BT.TypeIdx >= M.Types.size())
-      return false;
-    *NP = uint32_t(M.Types[BT.TypeIdx].Params.size());
-    *NR = uint32_t(M.Types[BT.TypeIdx].Results.size());
-    return true;
-  }
-  return false;
-}
-
-bool FuncScanner::scanOp(Opcode Op, uint32_t OpPos) {
-  const OpInfo &Info = opInfo(Op);
-  if (!Info.Name)
-    return false;
-
-  if (Info.Class == OpClass::Simple) {
-    uint32_t Offset = 0;
-    switch (Info.Imm) {
-    case ImmKind::MemArg: {
-      MemArg A = R.readMemArg();
-      Offset = A.Offset;
-      break;
-    }
-    case ImmKind::MemIdx:
-      (void)R.readByte();
-      break;
-    default:
-      break;
-    }
-    if (!R.ok())
-      return false;
-    if (live()) {
-      // Guaranteed-trap lints: a site that traps on every execution that
-      // reaches it. Constant divisor of zero, or a constant-address
-      // memory access that exceeds the largest memory this module can
-      // ever hold (declared max, or the architecture page limit).
-      if (isIntDivOrRem(Op)) {
-        AbsVal Divisor = peek(0);
-        uint64_t Mask = (Op >= Opcode::I64DivS) ? ~0ull : 0xffffffffull;
-        if (Divisor.Known && (Divisor.Bits & Mask) == 0)
-          lint(LintFinding::GuaranteedTrap, OpPos,
-               strFormat("%s: divisor is constant 0 (guaranteed divide "
-                         "trap)",
-                         Info.Name));
-      } else if (uint32_t Size = memAccessSize(Op)) {
-        AbsVal Addr = peek(Info.NPop - 1); // Deepest popped operand.
-        if (Addr.Known) {
-          uint64_t Effective =
-              (Addr.Bits & 0xffffffffull) + uint64_t(Offset) + Size;
-          if (Effective > MaxMemBytes)
-            lint(LintFinding::GuaranteedTrap, OpPos,
-                 strFormat("%s: constant address 0x%llx + offset %u + "
-                           "%u bytes exceeds the maximum possible memory "
-                           "of %llu bytes (guaranteed out-of-bounds trap)",
-                           Info.Name,
-                           (unsigned long long)(Addr.Bits & 0xffffffffull),
-                           Offset, Size, (unsigned long long)MaxMemBytes));
-        }
-      }
-    }
-    if (Op == Opcode::MemoryGrow)
-      Facts.GrowsMemory = true;
-    pop(Info.NPop);
-    pushUnknown(Info.NPush ? 1 : 0);
-    noteHeight();
-    return true;
-  }
-
-  switch (Op) {
-  case Opcode::Nop:
-    return true;
-  case Opcode::Unreachable:
-    endMustPrefix();
-    markUnreachable();
-    return true;
-
-  case Opcode::Block:
-  case Opcode::Loop:
-  case Opcode::If: {
-    if (Op == Opcode::If) {
-      pop(1);
-      endMustPrefix();
-    }
-    if (Op == Opcode::Loop) {
-      Facts.HasLoop = true;
-      // Entering a loop still falls through into the body exactly once,
-      // so the unconditional prefix continues (backedges only repeat it).
-    }
-    uint32_t NP = 0, NR = 0;
-    if (!blockArity(&NP, &NR))
-      return false;
-    bool Dead = !live();
-    pop(NP);
-    AFrame C;
-    C.Height = Height;
-    C.NParams = NP;
-    C.NResults = NR;
-    C.IsLoop = Op == Opcode::Loop;
-    C.DeadContext = Dead;
-    Frames.push_back(C);
-    pushUnknown(NP);
-    noteHeight();
-    return true;
-  }
-
-  case Opcode::Else: {
-    AFrame C = Frames.back();
-    Frames.pop_back();
-    Height = C.Height + C.NParams;
-    Stack.resize(Height);
-    C.IsLoop = false;
-    C.Unreachable = false;
-    Frames.push_back(C);
-    return true;
-  }
-
-  case Opcode::End: {
-    AFrame C = Frames.back();
-    Frames.pop_back();
-    Height = C.Height;
-    Stack.resize(Height);
-    pushUnknown(C.NResults);
-    if (Frames.empty())
-      Done = true;
-    else
-      noteHeight();
-    return true;
-  }
-
-  case Opcode::Br: {
-    uint32_t Depth = R.readU32();
-    if (!R.ok() || Depth >= Frames.size())
-      return false;
-    endMustPrefix();
-    pop(Frames[Frames.size() - 1 - Depth].labelArity());
-    markUnreachable();
-    return true;
-  }
-
-  case Opcode::BrIf: {
-    uint32_t Depth = R.readU32();
-    if (!R.ok() || Depth >= Frames.size())
-      return false;
-    endMustPrefix();
-    pop(1);
-    return true;
-  }
-
-  case Opcode::BrTable: {
-    uint32_t N = R.readU32();
-    for (uint32_t I = 0; I < N; ++I)
-      (void)R.readU32();
-    uint32_t Default = R.readU32();
-    if (!R.ok() || Default >= Frames.size())
-      return false;
-    if (live()) {
-      AbsVal Sel = peek(0);
-      if (Sel.Known && N > 0) {
-        uint32_t K = uint32_t(Sel.Bits);
-        uint32_t DeadCases = K < N ? N - 1 : N;
-        lint(LintFinding::DeadBrTableCase, OpPos,
-             strFormat("br_table: selector is constant %u, so %u of %u "
-                       "case(s) can never be selected",
-                       K, DeadCases, N));
-      }
-    }
-    endMustPrefix();
-    pop(1);
-    pop(Frames[Frames.size() - 1 - Default].labelArity());
-    markUnreachable();
-    return true;
-  }
-
-  case Opcode::Return:
-    endMustPrefix();
-    pop(uint32_t(M.Types[F.TypeIdx].Results.size()));
-    markUnreachable();
-    return true;
-
-  case Opcode::Call: {
-    uint32_t Idx = R.readU32();
-    if (!R.ok() || Idx >= M.Funcs.size())
-      return false;
-    if (live()) {
-      Facts.Callees.push_back(Idx);
-      if (MustPrefix)
-        MustCallees->push_back(Idx);
-    }
-    const FuncType &FT = M.funcType(Idx);
-    pop(uint32_t(FT.Params.size()));
-    pushUnknown(uint32_t(FT.Results.size()));
-    noteHeight();
-    return true;
-  }
-
-  case Opcode::CallIndirect: {
-    uint32_t TypeIdx = R.readU32();
-    (void)R.readU32(); // Table index.
-    if (!R.ok() || TypeIdx >= M.Types.size())
-      return false;
-    if (live()) {
-      Facts.HasIndirectCall = true;
-      IndirectTypes->push_back(TypeIdx);
-    }
-    const FuncType &FT = M.Types[TypeIdx];
-    pop(1);
-    pop(uint32_t(FT.Params.size()));
-    pushUnknown(uint32_t(FT.Results.size()));
-    noteHeight();
-    return true;
-  }
-
-  case Opcode::Drop:
-    pop(1);
-    return true;
-  case Opcode::Select:
-    pop(3);
-    pushUnknown(1);
-    noteHeight();
-    return true;
-  case Opcode::SelectT: {
-    uint32_t N = R.readU32();
-    for (uint32_t I = 0; I < N; ++I)
-      (void)R.readByte();
-    if (!R.ok())
-      return false;
-    pop(3);
-    pushUnknown(1);
-    noteHeight();
-    return true;
-  }
-
-  case Opcode::LocalGet:
-  case Opcode::LocalSet:
-  case Opcode::LocalTee: {
-    uint32_t Idx = R.readU32();
-    if (!R.ok() || Idx >= F.LocalTypes.size())
-      return false;
-    if (Op == Opcode::LocalGet) {
-      pushUnknown(1);
-      noteHeight();
-    } else if (Op == Opcode::LocalSet) {
-      pop(1);
-    }
-    return true;
-  }
-
-  case Opcode::GlobalGet:
-  case Opcode::GlobalSet: {
-    uint32_t Idx = R.readU32();
-    if (!R.ok() || Idx >= M.Globals.size())
-      return false;
-    if (Op == Opcode::GlobalGet) {
-      pushUnknown(1);
-      noteHeight();
-    } else {
-      pop(1);
-    }
-    return true;
-  }
-
-  case Opcode::I32Const: {
-    int32_t V = R.readS32();
-    pushConst(uint64_t(uint32_t(V)));
-    noteHeight();
-    return R.ok();
-  }
-  case Opcode::I64Const: {
-    int64_t V = R.readS64();
-    pushConst(uint64_t(V));
-    noteHeight();
-    return R.ok();
-  }
-  case Opcode::F32Const:
-    pushConst(uint64_t(R.readF32Bits()));
-    noteHeight();
-    return R.ok();
-  case Opcode::F64Const:
-    pushConst(R.readF64Bits());
-    noteHeight();
-    return R.ok();
-
-  case Opcode::RefNull:
-    (void)R.readValType();
-    pushConst(0);
-    noteHeight();
-    return R.ok();
-  case Opcode::RefIsNull:
-    pop(1);
-    pushUnknown(1);
-    noteHeight();
-    return true;
-  case Opcode::RefFunc: {
-    uint32_t Idx = R.readU32();
-    if (!R.ok())
-      return false;
-    if (live() && Idx < M.Funcs.size())
-      RefFuncs->push_back(Idx);
-    pushUnknown(1);
-    noteHeight();
-    return true;
-  }
-
-  case Opcode::MemoryCopy:
-    (void)R.readByte();
-    (void)R.readByte();
-    pop(3);
-    return true;
-  case Opcode::MemoryFill:
-    (void)R.readByte();
-    pop(3);
-    return true;
-
-  default:
-    return false;
-  }
-}
-
-FuncFacts FuncScanner::run(std::vector<LintFinding> *OutLints,
-                           std::vector<uint32_t> *OutIndirectTypes,
-                           std::vector<uint32_t> *OutRefFuncs,
-                           std::vector<uint32_t> *OutMustCallees) {
-  std::vector<LintFinding> LocalLints;
-  std::vector<uint32_t> LocalU32A, LocalU32B, LocalU32C;
-  Lints = OutLints ? OutLints : &LocalLints;
-  IndirectTypes = OutIndirectTypes ? OutIndirectTypes : &LocalU32A;
-  RefFuncs = OutRefFuncs ? OutRefFuncs : &LocalU32B;
-  MustCallees = OutMustCallees ? OutMustCallees : &LocalU32C;
-
-  Facts.FuncIndex = F.Index;
-  Facts.Imported = F.Imported;
-  if (F.Imported)
-    return Facts;
-
-  AFrame Root;
-  Root.NResults = uint32_t(M.Types[F.TypeIdx].Results.size());
-  Frames.push_back(Root);
-
-  while (!Done) {
-    if (R.atEnd())
-      break; // Validated bodies always terminate; bail conservatively.
-    uint32_t OpPos = uint32_t(R.pc());
-    Opcode Op = R.readOpcode();
-    if (!R.ok() || !scanOp(Op, OpPos))
-      break;
-  }
-
-  std::sort(Facts.Callees.begin(), Facts.Callees.end());
-  Facts.Callees.erase(std::unique(Facts.Callees.begin(), Facts.Callees.end()),
-                      Facts.Callees.end());
-  Facts.FrameSlotBound = F.numLocalSlots() + Facts.StackBound;
-  return Facts;
-}
 
 /// Per-function scratch the interprocedural layer needs beyond FuncFacts.
 struct FuncExtra {
@@ -705,8 +353,10 @@ const char *wisp::lintKindName(LintFinding::Kind K) {
 }
 
 FuncFacts wisp::analyzeFunction(const Module &M, const FuncDecl &F) {
-  FuncScanner S(M, F);
-  return S.run(nullptr, nullptr, nullptr, nullptr);
+  std::vector<LintFinding> Lints;
+  std::vector<uint32_t> IndirectTypes, RefFuncs, MustCallees;
+  return FactCollector(M, F, &Lints, &IndirectTypes, &RefFuncs, &MustCallees)
+      .run();
 }
 
 ModuleAnalysis wisp::analyzeModule(const Module &M) {
@@ -716,9 +366,11 @@ ModuleAnalysis wisp::analyzeModule(const Module &M) {
   std::vector<FuncExtra> Extra(N);
   std::vector<LintFinding> SiteLints;
   for (uint32_t I = 0; I < N; ++I) {
-    FuncScanner S(M, M.Funcs[I]);
-    A.Funcs.push_back(S.run(&SiteLints, &Extra[I].IndirectTypes,
-                            &Extra[I].RefFuncs, &Extra[I].MustCallees));
+    A.Funcs.push_back(FactCollector(M, M.Funcs[I], &SiteLints,
+                                    &Extra[I].IndirectTypes,
+                                    &Extra[I].RefFuncs,
+                                    &Extra[I].MustCallees)
+                          .run());
   }
 
   // --- Static table contents: every function an indirect call could hit.

@@ -6,11 +6,11 @@
 //
 // Two passes per artifact:
 //
-//   1. BodyScan: a heights-only mirror of the wasm validator's walk over
-//      the (already validated) body, recording for every opcode boundary
-//      its opcode, the operand-stack height at entry, the side-table
-//      position at entry, and the first scalar immediate. This re-derives
-//      exactly the coordinates the compilers consumed.
+//   1. BodyScan: the validator's own walk (wasm/walker.h) over the
+//      already validated body, recording for every opcode boundary its
+//      opcode, the operand-stack height at entry, the side-table position
+//      at entry, and a call's callee or type index: exactly the
+//      coordinates the compilers consumed.
 //   2. The artifact checks proper: structural per-instruction checks, a
 //      machine-CFG reachability walk, and the metadata cross-checks listed
 //      in verifier.h, each producing a VerifyFinding with the offending
@@ -21,8 +21,7 @@
 #include "verify/verifier.h"
 
 #include "support/format.h"
-#include "wasm/codereader.h"
-#include "wasm/opcodes.h"
+#include "wasm/walker.h"
 
 #include <algorithm>
 #include <map>
@@ -35,14 +34,14 @@ namespace {
 /// invariant hundreds of times; the first few locate the defect.
 constexpr size_t MaxFindings = 32;
 
-// --- BodyScan: re-derive the validator's per-opcode coordinates ----------
+// --- BodyScan: the validator's per-opcode coordinates ---------------------
 
 /// Validator-view coordinates of one opcode boundary.
 struct OpSite {
   Opcode Op = Opcode::Nop;
   uint32_t Height = 0; ///< Operand-stack height at entry (locals excluded).
   uint32_t Stp = 0;    ///< Side-table position at entry.
-  uint32_t ImmA = 0;   ///< First scalar immediate (call/local/global index).
+  uint32_t ImmA = 0;   ///< Callee of a call, type index of a call_indirect.
 };
 
 /// The scan result: every opcode boundary of the body, keyed by offset.
@@ -58,332 +57,33 @@ struct BodyScan {
   }
 };
 
-/// Heights-only mirror of the validator's control frame.
-struct ScanFrame {
-  uint32_t Height = 0; ///< Operand height just below the frame's params.
-  uint32_t NParams = 0;
-  uint32_t NResults = 0;
-  bool IsLoop = false;
-  bool Unreachable = false;
-
-  uint32_t labelArity() const { return IsLoop ? NParams : NResults; }
-};
-
-class BodyScanner {
+/// The verifier's visitor of the body walk: records each boundary's
+/// coordinates exactly as the validator's walk (and so every compiler)
+/// sees them.
+class SiteRecorder : public BodyWalker<SiteRecorder> {
 public:
-  BodyScanner(const Module &M, const FuncDecl &F)
-      : M(M), F(F), R(M.Bytes.data(), F.BodyStart, F.BodyEnd) {}
+  SiteRecorder(const Module &M, const FuncDecl &F) : BodyWalker(M, F) {}
 
-  BodyScan run();
+  BodyScan run() {
+    Out.Ok = walk();
+    if (Out.Ok)
+      Out.TermEndIp = Out.Sites.rbegin()->first;
+    return std::move(Out);
+  }
+
+  void beforeOp(Opcode Op, uint32_t Pc) {
+    Cur = &Out.Sites.emplace_hint(Out.Sites.end(), Pc,
+                                  OpSite{Op, height(), stp(), 0})
+               ->second;
+  }
+  void onCall(uint32_t FuncIdx) { Cur->ImmA = FuncIdx; }
+  void onCallIndirect(uint32_t TypeIdx) { Cur->ImmA = TypeIdx; }
+  void onError(std::string Msg) { Out.Error = std::move(Msg); }
 
 private:
-  bool fail(const char *Fmt, ...);
-  bool blockArity(uint32_t *NP, uint32_t *NR);
-  void pop(uint32_t N) {
-    ScanFrame &C = Frames.back();
-    for (uint32_t I = 0; I < N; ++I) {
-      if (Height > C.Height)
-        --Height; // Clamp at the frame base in unreachable code, exactly
-      // as the validator's stack-polymorphic popAny does.
-    }
-  }
-  void push(uint32_t N) { Height += N; }
-  void markUnreachable() {
-    Height = Frames.back().Height;
-    Frames.back().Unreachable = true;
-  }
-  bool scanOp(Opcode Op, size_t OpPos);
-
-  const Module &M;
-  const FuncDecl &F;
-  CodeReader R;
   BodyScan Out;
-  std::vector<ScanFrame> Frames;
-  uint32_t Height = 0;
-  uint32_t CurStp = 0;
-  bool Done = false;
+  OpSite *Cur = nullptr;
 };
-
-bool BodyScanner::fail(const char *Fmt, ...) {
-  va_list Args;
-  va_start(Args, Fmt);
-  Out.Error = strFormatV(Fmt, Args);
-  va_end(Args);
-  return false;
-}
-
-bool BodyScanner::blockArity(uint32_t *NP, uint32_t *NR) {
-  BlockType BT = R.readBlockType();
-  if (!R.ok())
-    return fail("malformed block type");
-  switch (BT.K) {
-  case BlockType::Empty:
-    *NP = *NR = 0;
-    return true;
-  case BlockType::OneResult:
-    *NP = 0;
-    *NR = 1;
-    return true;
-  case BlockType::FuncTypeIdx:
-    if (BT.TypeIdx >= M.Types.size())
-      return fail("block type index out of range");
-    *NP = uint32_t(M.Types[BT.TypeIdx].Params.size());
-    *NR = uint32_t(M.Types[BT.TypeIdx].Results.size());
-    return true;
-  }
-  return fail("bad block type");
-}
-
-bool BodyScanner::scanOp(Opcode Op, size_t OpPos) {
-  const OpInfo &Info = opInfo(Op);
-  if (!Info.Name)
-    return fail("unknown opcode at %zu", OpPos);
-
-  if (Info.Class == OpClass::Simple) {
-    switch (Info.Imm) {
-    case ImmKind::MemArg:
-      (void)R.readMemArg();
-      break;
-    case ImmKind::MemIdx:
-      (void)R.readByte();
-      break;
-    default:
-      break;
-    }
-    pop(Info.NPop);
-    push(Info.NPush ? 1 : 0);
-    return R.ok() || fail("malformed immediates at %zu", OpPos);
-  }
-
-  switch (Op) {
-  case Opcode::Nop:
-    return true;
-  case Opcode::Unreachable:
-    markUnreachable();
-    return true;
-
-  case Opcode::Block:
-  case Opcode::Loop:
-  case Opcode::If: {
-    if (Op == Opcode::If) {
-      pop(1);
-      ++CurStp; // The false-edge side-table entry.
-    }
-    uint32_t NP = 0, NR = 0;
-    if (!blockArity(&NP, &NR))
-      return false;
-    pop(NP);
-    ScanFrame C;
-    C.Height = Height;
-    C.NParams = NP;
-    C.NResults = NR;
-    C.IsLoop = Op == Opcode::Loop;
-    Frames.push_back(C);
-    push(NP);
-    return true;
-  }
-
-  case Opcode::Else: {
-    ++CurStp; // The else-skip side-table entry.
-    ScanFrame C = Frames.back();
-    Frames.pop_back();
-    Height = C.Height + C.NParams;
-    C.IsLoop = false;
-    C.Unreachable = false;
-    Frames.push_back(C);
-    return true;
-  }
-
-  case Opcode::End: {
-    ScanFrame C = Frames.back();
-    Frames.pop_back();
-    Height = C.Height;
-    push(C.NResults);
-    if (Frames.empty()) {
-      Out.TermEndIp = uint32_t(OpPos);
-      Done = true;
-    }
-    return true;
-  }
-
-  case Opcode::Br: {
-    uint32_t Depth = R.readU32();
-    if (!R.ok() || Depth >= Frames.size())
-      return fail("bad branch depth at %zu", OpPos);
-    ++CurStp;
-    pop(Frames[Frames.size() - 1 - Depth].labelArity());
-    markUnreachable();
-    return true;
-  }
-
-  case Opcode::BrIf: {
-    uint32_t Depth = R.readU32();
-    if (!R.ok() || Depth >= Frames.size())
-      return fail("bad branch depth at %zu", OpPos);
-    ++CurStp;
-    pop(1); // Condition; the label values are popped and re-pushed.
-    return true;
-  }
-
-  case Opcode::BrTable: {
-    uint32_t N = R.readU32();
-    for (uint32_t I = 0; I < N; ++I)
-      (void)R.readU32();
-    uint32_t Default = R.readU32();
-    if (!R.ok() || Default >= Frames.size())
-      return fail("bad br_table at %zu", OpPos);
-    CurStp += N + 1;
-    pop(1);
-    pop(Frames[Frames.size() - 1 - Default].labelArity());
-    markUnreachable();
-    return true;
-  }
-
-  case Opcode::Return:
-    pop(uint32_t(M.Types[F.TypeIdx].Results.size()));
-    markUnreachable();
-    return true;
-
-  case Opcode::Call: {
-    uint32_t Idx = R.readU32();
-    if (!R.ok() || Idx >= M.Funcs.size())
-      return fail("bad call index at %zu", OpPos);
-    Out.Sites[uint32_t(OpPos)].ImmA = Idx;
-    const FuncType &FT = M.funcType(Idx);
-    pop(uint32_t(FT.Params.size()));
-    push(uint32_t(FT.Results.size()));
-    return true;
-  }
-
-  case Opcode::CallIndirect: {
-    uint32_t TypeIdx = R.readU32();
-    (void)R.readU32(); // Table index.
-    if (!R.ok() || TypeIdx >= M.Types.size())
-      return fail("bad call_indirect type at %zu", OpPos);
-    Out.Sites[uint32_t(OpPos)].ImmA = TypeIdx;
-    const FuncType &FT = M.Types[TypeIdx];
-    pop(1); // Table element index.
-    pop(uint32_t(FT.Params.size()));
-    push(uint32_t(FT.Results.size()));
-    return true;
-  }
-
-  case Opcode::Drop:
-    pop(1);
-    return true;
-  case Opcode::Select:
-    pop(3);
-    push(1);
-    return true;
-  case Opcode::SelectT: {
-    uint32_t N = R.readU32();
-    for (uint32_t I = 0; I < N; ++I)
-      (void)R.readByte();
-    if (!R.ok())
-      return fail("malformed select_t at %zu", OpPos);
-    pop(3);
-    push(1);
-    return true;
-  }
-
-  case Opcode::LocalGet:
-  case Opcode::LocalSet:
-  case Opcode::LocalTee: {
-    uint32_t Idx = R.readU32();
-    if (!R.ok() || Idx >= F.LocalTypes.size())
-      return fail("bad local index at %zu", OpPos);
-    Out.Sites[uint32_t(OpPos)].ImmA = Idx;
-    if (Op == Opcode::LocalGet)
-      push(1);
-    else if (Op == Opcode::LocalSet)
-      pop(1);
-    return true;
-  }
-
-  case Opcode::GlobalGet:
-  case Opcode::GlobalSet: {
-    uint32_t Idx = R.readU32();
-    if (!R.ok() || Idx >= M.Globals.size())
-      return fail("bad global index at %zu", OpPos);
-    Out.Sites[uint32_t(OpPos)].ImmA = Idx;
-    if (Op == Opcode::GlobalGet)
-      push(1);
-    else
-      pop(1);
-    return true;
-  }
-
-  case Opcode::I32Const:
-    (void)R.readS32();
-    push(1);
-    return R.ok() || fail("malformed constant at %zu", OpPos);
-  case Opcode::I64Const:
-    (void)R.readS64();
-    push(1);
-    return R.ok() || fail("malformed constant at %zu", OpPos);
-  case Opcode::F32Const:
-    (void)R.readF32Bits();
-    push(1);
-    return R.ok() || fail("malformed constant at %zu", OpPos);
-  case Opcode::F64Const:
-    (void)R.readF64Bits();
-    push(1);
-    return R.ok() || fail("malformed constant at %zu", OpPos);
-
-  case Opcode::RefNull:
-    (void)R.readValType();
-    push(1);
-    return R.ok() || fail("malformed ref.null at %zu", OpPos);
-  case Opcode::RefIsNull:
-    pop(1);
-    push(1);
-    return true;
-  case Opcode::RefFunc:
-    (void)R.readU32();
-    push(1);
-    return R.ok() || fail("malformed ref.func at %zu", OpPos);
-
-  case Opcode::MemoryCopy:
-    (void)R.readByte();
-    (void)R.readByte();
-    pop(3);
-    return true;
-  case Opcode::MemoryFill:
-    (void)R.readByte();
-    pop(3);
-    return true;
-
-  default:
-    return fail("unhandled opcode %s at %zu", opName(Op), OpPos);
-  }
-}
-
-BodyScan BodyScanner::run() {
-  ScanFrame Root;
-  Root.NResults = uint32_t(M.Types[F.TypeIdx].Results.size());
-  Frames.push_back(Root);
-
-  while (!Done) {
-    if (R.atEnd()) {
-      Out.Error = "body not terminated";
-      return std::move(Out);
-    }
-    size_t OpPos = R.pc();
-    Opcode Op = R.readOpcode();
-    if (!R.ok()) {
-      Out.Error = "malformed opcode";
-      return std::move(Out);
-    }
-    OpSite &S = Out.Sites[uint32_t(OpPos)];
-    S.Op = Op;
-    S.Height = Height;
-    S.Stp = CurStp;
-    if (!scanOp(Op, OpPos))
-      return std::move(Out);
-  }
-  Out.Ok = true;
-  return std::move(Out);
-}
 
 // --- Machine-code checks -------------------------------------------------
 
@@ -1318,7 +1018,7 @@ VerifyReport wisp::verifyMachineCode(const Module &M, const FuncDecl &F,
                                      const VerifyScope &Scope) {
   VerifyReport Rep;
   Rep.FuncIndex = F.Index;
-  BodyScan Scan = BodyScanner(M, F).run();
+  BodyScan Scan = SiteRecorder(M, F).run();
   if (!Scan.Ok) {
     Rep.Findings.push_back(
         {"body-scan", 0, "cannot rederive validator coordinates: " +
@@ -1335,7 +1035,7 @@ wisp::verifyThreadedCode(const Module &M, const FuncDecl &F,
                          const std::function<bool(uint32_t)> &IsProbed) {
   VerifyReport Rep;
   Rep.FuncIndex = F.Index;
-  BodyScan Scan = BodyScanner(M, F).run();
+  BodyScan Scan = SiteRecorder(M, F).run();
   if (!Scan.Ok) {
     Rep.Findings.push_back(
         {"body-scan", 0, "cannot rederive validator coordinates: " +

@@ -39,10 +39,10 @@
 ///      interior, and every probed offset keeps an exact unit,
 ///    - all embedded local/global/function/type/table indices resolve.
 ///
-/// The pass re-derives the validator's per-opcode operand-stack heights and
-/// side-table positions by a heights-only abstract interpretation of the
-/// body (BodyScan below, internal to the implementation), so it needs no
-/// cooperation from the compilers being checked.
+/// The pass takes the validator's per-opcode operand-stack heights and
+/// side-table positions from the validator's own walk of the body
+/// (wasm/walker.h), so it needs no cooperation from the compilers being
+/// checked.
 ///
 //===----------------------------------------------------------------------===//
 

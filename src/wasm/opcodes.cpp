@@ -339,3 +339,37 @@ const char *wisp::opName(Opcode Op) {
   const OpInfo &I = opInfo(Op);
   return I.Name ? I.Name : "<invalid>";
 }
+
+uint32_t wisp::memAccessSize(Opcode Op) {
+  switch (Op) {
+  case Opcode::I32Load8S:
+  case Opcode::I32Load8U:
+  case Opcode::I64Load8S:
+  case Opcode::I64Load8U:
+  case Opcode::I32Store8:
+  case Opcode::I64Store8:
+    return 1;
+  case Opcode::I32Load16S:
+  case Opcode::I32Load16U:
+  case Opcode::I64Load16S:
+  case Opcode::I64Load16U:
+  case Opcode::I32Store16:
+  case Opcode::I64Store16:
+    return 2;
+  case Opcode::I32Load:
+  case Opcode::F32Load:
+  case Opcode::I64Load32S:
+  case Opcode::I64Load32U:
+  case Opcode::I32Store:
+  case Opcode::F32Store:
+  case Opcode::I64Store32:
+    return 4;
+  case Opcode::I64Load:
+  case Opcode::F64Load:
+  case Opcode::I64Store:
+  case Opcode::F64Store:
+    return 8;
+  default:
+    return 0;
+  }
+}

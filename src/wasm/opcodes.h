@@ -264,6 +264,10 @@ const OpInfo &opInfo(Opcode Op);
 /// Returns the printable mnemonic, or "<invalid>".
 const char *opName(Opcode Op);
 
+/// Bytes one load or store touches (its natural alignment); 0 for every
+/// opcode that is not a memory access.
+uint32_t memAccessSize(Opcode Op);
+
 } // namespace wisp
 
 #endif // WISP_WASM_OPCODES_H

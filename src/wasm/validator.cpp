@@ -7,630 +7,124 @@
 #include "wasm/validator.h"
 
 #include "support/format.h"
-#include "wasm/codereader.h"
+#include "wasm/walker.h"
 
 using namespace wisp;
 
 namespace {
 
-/// One entry of the validation control stack.
-struct CtrlFrame {
-  Opcode KindOp = Opcode::Block; ///< Block, Loop, If, or Else.
-  std::vector<ValType> Params;
-  std::vector<ValType> Results;
-  /// Operand stack height at entry, after popping the params.
-  uint32_t Height = 0;
-  bool Unreachable = false;
-  /// Loop only: bytecode offset of the first body instruction and the
-  /// side-table position there.
-  uint32_t HeaderIp = 0;
-  uint32_t HeaderStp = 0;
-  /// Side-table entries that target this frame's end label.
-  std::vector<uint32_t> PatchList;
-  /// If only: the false-edge entry, patched at else (or routed to end).
-  uint32_t IfEntry = ~0u;
-};
-
-/// Validates one function body and builds its side table.
-class FuncValidator {
+/// The validator's visitor of the body walk: it materializes the side
+/// table the walker's cursor counts and reports diagnostics. A forward
+/// branch's entry is threaded through the TargetIp fields of its label's
+/// other unpatched entries, and the chain is patched when the label's
+/// construct ends.
+class SideTableBuilder : public BodyWalker<SideTableBuilder> {
 public:
-  FuncValidator(Module &M, FuncDecl &F, WasmError *Err)
-      : M(M), F(F), Err(Err), R(M.Bytes.data(), F.BodyStart, F.BodyEnd) {}
-
-  bool run();
-
-private:
-  bool error(const char *Fmt, ...) __attribute__((format(printf, 2, 3)));
-
-  // --- Type stack ---
-  void pushVal(ValType T) {
-    Stack.push_back(T);
-    if (Stack.size() > MaxStack)
-      MaxStack = uint32_t(Stack.size());
+  SideTableBuilder(Module &M, FuncDecl &F, WasmError *Err)
+      : BodyWalker(M, F), Fn(F), Err(Err) {
+    Labels.emplace_back(); // The function label.
   }
-  bool popAny(ValType *Out) {
-    CtrlFrame &C = Ctrl.back();
-    if (Stack.size() == C.Height) {
-      if (C.Unreachable) {
-        *Out = ValType::Bottom;
-        return true;
-      }
-      return error("operand stack underflow");
-    }
-    *Out = Stack.back();
-    Stack.pop_back();
-    return true;
-  }
-  bool popVal(ValType Expect) {
-    ValType T = ValType::Bottom;
-    if (!popAny(&T))
+
+  bool run() {
+    if (!walk())
       return false;
-    if (T != Expect && T != ValType::Bottom)
-      return error("type mismatch: expected %s, found %s",
-                   valTypeName(Expect), valTypeName(T));
-    return true;
-  }
-  bool popVals(const std::vector<ValType> &Ts) {
-    for (size_t I = Ts.size(); I > 0; --I)
-      if (!popVal(Ts[I - 1]))
-        return false;
-    return true;
-  }
-  void pushVals(const std::vector<ValType> &Ts) {
-    for (ValType T : Ts)
-      pushVal(T);
-  }
-  void markUnreachable() {
-    CtrlFrame &C = Ctrl.back();
-    Stack.resize(C.Height);
-    C.Unreachable = true;
-  }
-
-  // --- Control stack ---
-  bool resolveBlockType(BlockType BT, std::vector<ValType> *Params,
-                        std::vector<ValType> *Results) {
-    switch (BT.K) {
-    case BlockType::Empty:
-      return true;
-    case BlockType::OneResult:
-      Results->push_back(BT.Result);
-      return true;
-    case BlockType::FuncTypeIdx:
-      if (BT.TypeIdx >= M.Types.size())
-        return error("block type index %u out of range", BT.TypeIdx);
-      *Params = M.Types[BT.TypeIdx].Params;
-      *Results = M.Types[BT.TypeIdx].Results;
-      return true;
-    }
-    return error("bad block type");
-  }
-  bool pushCtrl(Opcode KindOp, std::vector<ValType> Params,
-                std::vector<ValType> Results) {
-    if (!popVals(Params))
-      return false;
-    CtrlFrame C;
-    C.KindOp = KindOp;
-    C.Height = uint32_t(Stack.size());
-    C.Params = std::move(Params);
-    C.Results = std::move(Results);
-    Ctrl.push_back(std::move(C));
-    pushVals(Ctrl.back().Params);
-    return true;
-  }
-  /// Pops the top control frame after checking its results are present at
-  /// exactly the right height. The caller pushes the results.
-  bool popCtrl(CtrlFrame *Out) {
-    assert(!Ctrl.empty() && "control stack empty");
-    CtrlFrame &C = Ctrl.back();
-    if (!popVals(C.Results))
-      return false;
-    if (Stack.size() != C.Height)
-      return error("%zu superfluous values at end of block",
-                   Stack.size() - C.Height);
-    *Out = std::move(C);
-    Ctrl.pop_back();
-    return true;
-  }
-  const std::vector<ValType> &labelTypes(const CtrlFrame &C) const {
-    return C.KindOp == Opcode::Loop ? C.Params : C.Results;
-  }
-
-  // --- Side table ---
-  /// Emits the side-table entry for a branch to depth \p Depth. Loop
-  /// targets are resolved immediately; forward targets are patched when
-  /// the construct's end is reached.
-  bool emitBranchEntry(uint32_t Depth) {
-    if (Depth >= Ctrl.size())
-      return error("branch depth %u exceeds nesting %zu", Depth, Ctrl.size());
-    CtrlFrame &C = Ctrl[Ctrl.size() - 1 - Depth];
-    SideTableEntry E;
-    E.ValCount = uint32_t(labelTypes(C).size());
-    E.TargetHeight = C.Height;
-    uint32_t Idx = uint32_t(ST.size());
-    if (C.KindOp == Opcode::Loop) {
-      E.TargetIp = C.HeaderIp;
-      E.TargetStp = C.HeaderStp;
-    } else {
-      C.PatchList.push_back(Idx);
-    }
-    ST.push_back(E);
+    Fn.MaxStack = maxHeight();
+    Fn.Table.Entries = std::move(ST);
     return true;
   }
 
-  bool checkMemory() {
-    if (M.Memories.empty())
-      return error("memory instruction without declared memory");
-    return true;
-  }
-  bool checkAlign(Opcode Op, uint32_t Align);
-
-  bool validateOp(Opcode Op, size_t OpPos);
-
-  Module &M;
-  FuncDecl &F;
-  WasmError *Err;
-  CodeReader R;
-  std::vector<ValType> Stack;
-  std::vector<CtrlFrame> Ctrl;
-  std::vector<SideTableEntry> ST;
-  uint32_t MaxStack = 0;
-  bool Done = false;
-};
-
-} // namespace
-
-bool FuncValidator::error(const char *Fmt, ...) {
-  if (Err) {
-    va_list Args;
-    va_start(Args, Fmt);
-    Err->Message =
-        strFormat("func %u: ", F.Index) + strFormatV(Fmt, Args);
-    va_end(Args);
-    Err->Offset = R.pc();
-  }
-  return false;
-}
-
-/// Natural access width in bytes for a memory opcode.
-static uint32_t memAccessSize(Opcode Op) {
-  switch (Op) {
-  case Opcode::I32Load8S:
-  case Opcode::I32Load8U:
-  case Opcode::I64Load8S:
-  case Opcode::I64Load8U:
-  case Opcode::I32Store8:
-  case Opcode::I64Store8:
-    return 1;
-  case Opcode::I32Load16S:
-  case Opcode::I32Load16U:
-  case Opcode::I64Load16S:
-  case Opcode::I64Load16U:
-  case Opcode::I32Store16:
-  case Opcode::I64Store16:
-    return 2;
-  case Opcode::I32Load:
-  case Opcode::F32Load:
-  case Opcode::I64Load32S:
-  case Opcode::I64Load32U:
-  case Opcode::I32Store:
-  case Opcode::F32Store:
-  case Opcode::I64Store32:
-    return 4;
-  default:
-    return 8;
-  }
-}
-
-bool FuncValidator::checkAlign(Opcode Op, uint32_t Align) {
-  uint32_t Natural = memAccessSize(Op);
-  if ((1u << Align) > Natural)
-    return error("alignment 2**%u exceeds natural alignment %u of %s", Align,
-                 Natural, opName(Op));
-  return true;
-}
-
-bool FuncValidator::validateOp(Opcode Op, size_t OpPos) {
-  const OpInfo &Info = opInfo(Op);
-  if (!Info.Name)
-    return error("unknown opcode 0x%x", unsigned(Op));
-
-  // Generic handling for fixed-signature opcodes.
-  if (Info.Class == OpClass::Simple) {
-    switch (Info.Imm) {
-    case ImmKind::MemArg: {
-      MemArg A = R.readMemArg();
-      if (!R.ok())
-        return error("malformed memarg");
-      if (!checkMemory() || !checkAlign(Op, A.Align))
-        return false;
-      break;
-    }
-    case ImmKind::MemIdx:
-      if (R.readByte() != 0)
-        return error("nonzero memory index");
-      if (!checkMemory())
-        return false;
-      break;
-    default:
-      break;
-    }
-    for (unsigned I = Info.NPop; I > 0; --I)
-      if (!popVal(Info.Pop[I - 1]))
-        return false;
-    if (Info.NPush)
-      pushVal(Info.Push);
-    return true;
-  }
-
-  switch (Op) {
-  case Opcode::Nop:
-    return true;
-  case Opcode::Unreachable:
-    markUnreachable();
-    return true;
-
-  case Opcode::Block:
-  case Opcode::Loop:
-  case Opcode::If: {
-    if (Op == Opcode::If && !popVal(ValType::I32))
-      return false;
-    BlockType BT = R.readBlockType();
-    if (!R.ok())
-      return error("malformed block type");
-    std::vector<ValType> Params, Results;
-    if (!resolveBlockType(BT, &Params, &Results))
-      return false;
-    uint32_t IfEntryIdx = ~0u;
-    if (Op == Opcode::If) {
-      // False edge: carries the params; height = frame height (set below).
-      SideTableEntry E;
-      E.ValCount = uint32_t(Params.size());
-      IfEntryIdx = uint32_t(ST.size());
-      ST.push_back(E);
-    }
-    uint32_t BodyIp = uint32_t(R.pc());
-    uint32_t BodyStp = uint32_t(ST.size());
-    if (!pushCtrl(Op, std::move(Params), std::move(Results)))
-      return false;
-    CtrlFrame &C = Ctrl.back();
+  void onBlock(Opcode Op) {
+    Label L;
+    if (Op == Opcode::If)
+      L.IfEntry = emit(frame(0).Params.size()); // The false edge.
     if (Op == Opcode::Loop) {
-      C.HeaderIp = BodyIp;
-      C.HeaderStp = BodyStp;
+      L.HeaderIp = uint32_t(pc());
+      L.HeaderStp = uint32_t(ST.size());
     }
-    if (Op == Opcode::If) {
-      C.IfEntry = IfEntryIdx;
-      ST[IfEntryIdx].TargetHeight = C.Height;
-    }
-    return true;
+    Labels.push_back(L);
   }
 
-  case Opcode::Else: {
-    if (Ctrl.size() <= 1 || Ctrl.back().KindOp != Opcode::If)
-      return error("else without matching if");
-    // The else-skip entry: taken when the then-branch falls into `else`.
-    {
-      SideTableEntry E;
-      E.ValCount = uint32_t(Ctrl.back().Results.size());
-      E.TargetHeight = Ctrl.back().Height;
-      Ctrl.back().PatchList.push_back(uint32_t(ST.size()));
-      ST.push_back(E);
-    }
-    CtrlFrame Frame;
-    if (!popCtrl(&Frame))
-      return false;
-    // The if false edge lands just after the else opcode.
-    ST[Frame.IfEntry].TargetIp = uint32_t(R.pc());
-    ST[Frame.IfEntry].TargetStp = uint32_t(ST.size());
-    Frame.IfEntry = ~0u;
-    Frame.KindOp = Opcode::Else;
-    Frame.Unreachable = false;
-    Ctrl.push_back(std::move(Frame));
-    pushVals(Ctrl.back().Params);
-    Stack.resize(Ctrl.back().Height + Ctrl.back().Params.size());
-    return true;
+  void onElse() {
+    Label &L = Labels.back();
+    link(L, emit(frame(0).Results.size())); // The else-skip edge.
+    // The false edge lands just after the else opcode.
+    ST[L.IfEntry].TargetIp = uint32_t(pc());
+    ST[L.IfEntry].TargetStp = uint32_t(ST.size());
+    L.IfEntry = None;
   }
 
-  case Opcode::End: {
-    CtrlFrame Frame;
-    if (!popCtrl(&Frame))
-      return false;
-    if (Frame.KindOp == Opcode::If) {
-      // No else: the false edge must produce the results directly, so the
-      // type requires params == results.
-      if (Frame.Params != Frame.Results)
-        return error("if without else requires matching params and results");
-      Frame.PatchList.push_back(Frame.IfEntry);
-    }
+  void onEnd(uint32_t Pc) {
+    Label L = Labels.back();
+    Labels.pop_back();
+    if (L.IfEntry != None)
+      link(L, L.IfEntry);
     // Inner branches land just past their construct's `end`; branches to
     // the function label land ON the terminating `end` opcode, whose
     // handler is the return path (landing past it would walk the
     // interpreter off the body into adjacent module bytes).
-    uint32_t EndIp = Ctrl.empty() ? uint32_t(OpPos) : uint32_t(R.pc());
-    uint32_t EndStp = uint32_t(ST.size());
-    for (uint32_t Idx : Frame.PatchList) {
-      ST[Idx].TargetIp = EndIp;
-      ST[Idx].TargetStp = EndStp;
+    uint32_t Ip = depth() == 0 ? Pc : uint32_t(pc());
+    for (uint32_t I = L.Head; I != None;) {
+      uint32_t Next = ST[I].TargetIp;
+      ST[I].TargetIp = Ip;
+      ST[I].TargetStp = uint32_t(ST.size());
+      I = Next;
     }
-    if (Ctrl.empty()) {
-      // Function-level end.
-      pushVals(Frame.Results);
-      if (R.pc() != F.BodyEnd)
-        return error("%zd trailing bytes after function end",
-                     ptrdiff_t(F.BodyEnd) - ptrdiff_t(R.pc()));
-      Done = true;
-      return true;
-    }
-    pushVals(Frame.Results);
-    return true;
   }
 
-  case Opcode::Br: {
-    uint32_t Depth = R.readU32();
-    if (!R.ok())
-      return error("malformed branch depth");
-    if (!emitBranchEntry(Depth))
-      return false;
-    if (!popVals(labelTypes(Ctrl[Ctrl.size() - 1 - Depth])))
-      return false;
-    markUnreachable();
-    return true;
-  }
-
-  case Opcode::BrIf: {
-    uint32_t Depth = R.readU32();
-    if (!R.ok())
-      return error("malformed branch depth");
-    if (!popVal(ValType::I32))
-      return false;
-    if (!emitBranchEntry(Depth))
-      return false;
-    const std::vector<ValType> &LT = labelTypes(Ctrl[Ctrl.size() - 1 - Depth]);
-    if (!popVals(LT))
-      return false;
-    pushVals(LT);
-    return true;
-  }
-
-  case Opcode::BrTable: {
-    uint32_t N = R.readU32();
-    if (!R.ok())
-      return error("malformed br_table");
-    if (!popVal(ValType::I32))
-      return false;
-    std::vector<uint32_t> Targets(N);
-    for (uint32_t I = 0; I < N; ++I)
-      Targets[I] = R.readU32();
-    uint32_t Default = R.readU32();
-    if (!R.ok())
-      return error("malformed br_table targets");
-    if (Default >= Ctrl.size())
-      return error("br_table default depth out of range");
-    const std::vector<ValType> &DefLT =
-        labelTypes(Ctrl[Ctrl.size() - 1 - Default]);
-    for (uint32_t T : Targets) {
-      if (T >= Ctrl.size())
-        return error("br_table target depth out of range");
-      if (labelTypes(Ctrl[Ctrl.size() - 1 - T]) != DefLT)
-        return error("br_table labels have inconsistent types");
-    }
-    for (uint32_t T : Targets)
-      if (!emitBranchEntry(T))
-        return false;
-    if (!emitBranchEntry(Default))
-      return false;
-    if (!popVals(DefLT))
-      return false;
-    markUnreachable();
-    return true;
-  }
-
-  case Opcode::Return: {
-    if (!popVals(M.Types[F.TypeIdx].Results))
-      return false;
-    markUnreachable();
-    return true;
-  }
-
-  case Opcode::Call: {
-    uint32_t Idx = R.readU32();
-    if (!R.ok() || Idx >= M.Funcs.size())
-      return error("call index out of range");
-    const FuncType &FT = M.funcType(Idx);
-    if (!popVals(FT.Params))
-      return false;
-    pushVals(FT.Results);
-    return true;
-  }
-
-  case Opcode::CallIndirect: {
-    uint32_t TypeIdx = R.readU32();
-    uint32_t TableIdx = R.readU32();
-    if (!R.ok() || TypeIdx >= M.Types.size())
-      return error("call_indirect type index out of range");
-    if (TableIdx >= M.Tables.size())
-      return error("call_indirect table index out of range");
-    if (M.Tables[TableIdx].Elem != ValType::FuncRef)
-      return error("call_indirect table is not funcref");
-    if (!popVal(ValType::I32))
-      return false;
-    const FuncType &FT = M.Types[TypeIdx];
-    if (!popVals(FT.Params))
-      return false;
-    pushVals(FT.Results);
-    return true;
-  }
-
-  case Opcode::Drop: {
-    ValType T = ValType::Bottom;
-    return popAny(&T);
-  }
-
-  case Opcode::Select: {
-    if (!popVal(ValType::I32))
-      return false;
-    ValType A = ValType::Bottom, B = ValType::Bottom;
-    if (!popAny(&A) || !popAny(&B))
-      return false;
-    if (A != B && A != ValType::Bottom && B != ValType::Bottom)
-      return error("select operands disagree: %s vs %s", valTypeName(A),
-                   valTypeName(B));
-    ValType T = A != ValType::Bottom ? A : B;
-    if (T != ValType::Bottom && isRefType(T))
-      return error("untyped select on reference type");
-    pushVal(T);
-    return true;
-  }
-
-  case Opcode::SelectT: {
-    uint32_t N = R.readU32();
-    if (!R.ok() || N != 1)
-      return error("select_t requires exactly one type");
-    ValType T = R.readValType();
-    if (!R.ok())
-      return error("malformed select_t type");
-    if (!popVal(ValType::I32) || !popVal(T) || !popVal(T))
-      return false;
-    pushVal(T);
-    return true;
-  }
-
-  case Opcode::LocalGet:
-  case Opcode::LocalSet:
-  case Opcode::LocalTee: {
-    uint32_t Idx = R.readU32();
-    if (!R.ok() || Idx >= F.LocalTypes.size())
-      return error("local index out of range");
-    ValType T = F.LocalTypes[Idx];
-    if (Op == Opcode::LocalGet) {
-      pushVal(T);
-    } else if (Op == Opcode::LocalSet) {
-      if (!popVal(T))
-        return false;
+  /// Loop targets resolve immediately; forward targets join the chain.
+  void onBranch(uint32_t Depth) {
+    const WalkFrame &C = frame(Depth);
+    Label &L = Labels[Labels.size() - 1 - Depth];
+    uint32_t Idx = emit(C.labelTypes().size(), Depth);
+    if (C.Kind == Opcode::Loop) {
+      ST[Idx].TargetIp = L.HeaderIp;
+      ST[Idx].TargetStp = L.HeaderStp;
     } else {
-      if (!popVal(T))
-        return false;
-      pushVal(T);
+      link(L, Idx);
     }
-    return true;
   }
 
-  case Opcode::GlobalGet:
-  case Opcode::GlobalSet: {
-    uint32_t Idx = R.readU32();
-    if (!R.ok() || Idx >= M.Globals.size())
-      return error("global index out of range");
-    const GlobalDecl &G = M.Globals[Idx];
-    if (Op == Opcode::GlobalGet) {
-      pushVal(G.Type);
-    } else {
-      if (!G.Mutable)
-        return error("global.set of immutable global %u", Idx);
-      if (!popVal(G.Type))
-        return false;
-    }
-    return true;
+  void onError(std::string Msg) {
+    if (!Err)
+      return;
+    Err->Message = strFormat("func %u: ", F.Index) + Msg;
+    Err->Offset = pc();
   }
 
-  case Opcode::I32Const:
-    (void)R.readS32();
-    if (!R.ok())
-      return error("malformed i32 constant");
-    pushVal(ValType::I32);
-    return true;
-  case Opcode::I64Const:
-    (void)R.readS64();
-    if (!R.ok())
-      return error("malformed i64 constant");
-    pushVal(ValType::I64);
-    return true;
-  case Opcode::F32Const:
-    (void)R.readF32Bits();
-    if (!R.ok())
-      return error("malformed f32 constant");
-    pushVal(ValType::F32);
-    return true;
-  case Opcode::F64Const:
-    (void)R.readF64Bits();
-    if (!R.ok())
-      return error("malformed f64 constant");
-    pushVal(ValType::F64);
-    return true;
+private:
+  static constexpr uint32_t None = ~0u;
+  /// Per-frame patch state, parallel to the walker's frames.
+  struct Label {
+    uint32_t Head = None;    ///< Unpatched entries targeting the end.
+    uint32_t IfEntry = None; ///< If only: the false edge, until else.
+    uint32_t HeaderIp = 0;   ///< Loop only: first body instruction...
+    uint32_t HeaderStp = 0;  ///< ...and the side-table position there.
+  };
 
-  case Opcode::RefNull: {
-    ValType T = R.readValType();
-    if (!R.ok() || !isRefType(T))
-      return error("ref.null requires a reference type");
-    pushVal(T);
-    return true;
+  /// Appends an entry for a transfer to frame(\p Depth) carrying
+  /// \p ValCount values; returns its index.
+  uint32_t emit(uint32_t ValCount, uint32_t Depth = 0) {
+    SideTableEntry E;
+    E.ValCount = ValCount;
+    E.TargetHeight = frame(Depth).Height;
+    ST.push_back(E);
+    return uint32_t(ST.size() - 1);
   }
-  case Opcode::RefIsNull: {
-    ValType T = ValType::Bottom;
-    if (!popAny(&T))
-      return false;
-    if (T != ValType::Bottom && !isRefType(T))
-      return error("ref.is_null on non-reference");
-    pushVal(ValType::I32);
-    return true;
-  }
-  case Opcode::RefFunc: {
-    uint32_t Idx = R.readU32();
-    if (!R.ok() || Idx >= M.Funcs.size())
-      return error("ref.func index out of range");
-    pushVal(ValType::FuncRef);
-    return true;
+  void link(Label &L, uint32_t Idx) {
+    ST[Idx].TargetIp = L.Head;
+    L.Head = Idx;
   }
 
-  case Opcode::MemoryCopy: {
-    if (R.readByte() != 0 || R.readByte() != 0)
-      return error("nonzero memory index");
-    if (!checkMemory())
-      return false;
-    if (!popVal(ValType::I32) || !popVal(ValType::I32) ||
-        !popVal(ValType::I32))
-      return false;
-    return true;
-  }
-  case Opcode::MemoryFill: {
-    if (R.readByte() != 0)
-      return error("nonzero memory index");
-    if (!checkMemory())
-      return false;
-    if (!popVal(ValType::I32) || !popVal(ValType::I32) ||
-        !popVal(ValType::I32))
-      return false;
-    return true;
-  }
+  FuncDecl &Fn;
+  WasmError *Err;
+  std::vector<SideTableEntry> ST;
+  std::vector<Label> Labels;
+};
 
-  default:
-    return error("unhandled opcode %s", opName(Op));
-  }
-}
-
-bool FuncValidator::run() {
-  // The function body is an implicit block producing the results.
-  CtrlFrame Root;
-  Root.KindOp = Opcode::Block;
-  Root.Results = M.Types[F.TypeIdx].Results;
-  Ctrl.push_back(std::move(Root));
-
-  while (!Done) {
-    if (R.atEnd())
-      return error("function body not terminated by end");
-    size_t OpPos = R.pc();
-    Opcode Op = R.readOpcode();
-    if (!R.ok())
-      return error("malformed opcode");
-    if (!validateOp(Op, OpPos))
-      return false;
-  }
-  F.MaxStack = MaxStack;
-  F.Table.Entries = std::move(ST);
-  return true;
-}
+} // namespace
 
 bool wisp::validateFunction(Module &M, FuncDecl &F, WasmError *Err) {
-  FuncValidator V(M, F, Err);
-  return V.run();
+  return SideTableBuilder(M, F, Err).run();
 }
 
 /// Checks one constant initializer at module level. The reader enforces

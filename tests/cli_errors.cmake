@@ -315,4 +315,19 @@ if(NOT RC EQUAL 0 OR NOT OUT MATCHES "= 252:i32")
   message(FATAL_ERROR "gcd(3528, 3780) run failed (rc=${RC}): ${OUT}")
 endif()
 
+# --- Hostile module: a br_table count of 0xffffffff in a 42-byte module is
+# --- a load error (exit 1 with a diagnostic), never an abort. A signal
+# --- shows up as a non-numeric RESULT_VARIABLE, which fails EQUAL 1.
+get_filename_component(HERE ${CMAKE_SCRIPT_MODE_FILE} DIRECTORY)
+set(HUGE_BRTABLE ${HERE}/data/brtable-huge-count.wasm)
+expect_fail(brtable-huge-count "load failed: .*br_table.*exceeds"
+            ${HUGE_BRTABLE})
+execute_process(
+  COMMAND ${WISP_BIN} ${HUGE_BRTABLE}
+  OUTPUT_QUIET ERROR_QUIET
+  RESULT_VARIABLE RC)
+if(NOT RC EQUAL 1)
+  message(FATAL_ERROR "brtable-huge-count: expected exit 1, got '${RC}'")
+endif()
+
 message(STATUS "cli_errors: all error paths diagnosed correctly")

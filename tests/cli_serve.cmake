@@ -125,5 +125,26 @@ if(BOUT2 MATCHES "static-bounds")
     "batch --no-static-precheck: job still prechecked: ${BOUT2}")
 endif()
 
-file(REMOVE ${SERVE_IN} ${SERVE_IN2} ${MANIFEST})
+# --- Hostile module: its load error is answered on its own id, the job
+# --- queued behind it still runs, and the daemon drains cleanly.
+set(HUGE_BRTABLE ${HERE}/data/brtable-huge-count.wasm)
+set(SERVE_IN3 ${WISP_WORKDIR}/cli_serve_in3.txt)
+file(WRITE ${SERVE_IN3}
+  "nop tier=spc id=before\n"
+  "${HUGE_BRTABLE} tier=spc id=hostile\n"
+  "nop tier=spc id=after\n"
+  "shutdown\n")
+run_serve(OUT_HOSTILE ${SERVE_IN3})
+if(NOT OUT_HOSTILE MATCHES "done hostile error: [^\n]*br_table")
+  message(FATAL_ERROR "hostile module not answered with an error: ${OUT_HOSTILE}")
+endif()
+if(NOT OUT_HOSTILE MATCHES "done before = <void>" OR
+   NOT OUT_HOSTILE MATCHES "done after = <void>")
+  message(FATAL_ERROR "hostile module disturbed its neighbors: ${OUT_HOSTILE}")
+endif()
+if(NOT OUT_HOSTILE MATCHES "# serve: drained, 3 accepted, 0 rejected")
+  message(FATAL_ERROR "hostile module: summary mismatch: ${OUT_HOSTILE}")
+endif()
+
+file(REMOVE ${SERVE_IN} ${SERVE_IN2} ${SERVE_IN3} ${MANIFEST})
 message(STATUS "cli_serve: static admission precheck verified end to end")

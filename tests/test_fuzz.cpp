@@ -7,16 +7,26 @@
 // Covers the differential-fuzzing subsystem: generator validity and
 // determinism, the six-tier differ, replay argument derivation, and the
 // greedy shrinker (a planted divergence must survive minimization and the
-// result must be at most 25% of the original module size).
+// result must be at most 25% of the original module size), and hostile
+// input: deterministic byte mutants of the committed .wasm seeds must be
+// rejected with a diagnostic or load, analyze and verify cleanly.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/analysis.h"
+#include "engine/registry.h"
 #include "fuzz/differ.h"
 #include "fuzz/randwasm.h"
 #include "fuzz/shrink.h"
+#include "interp/predecode.h"
+#include "support/leb128.h"
 #include "testutil.h"
+#include "verify/verifier.h"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
 
 using namespace wisp;
 
@@ -471,6 +481,208 @@ TEST(FuzzRegression, SelectFoldedCondKeepsMemoryOperand) {
   ASSERT_FALSE(Report.Runs.empty());
   ASSERT_EQ(Report.Runs[0].Results.size(), 1u);
   EXPECT_EQ(Report.Runs[0].Results[0], Value::makeF64(-330.0625));
+}
+
+// --- Hostile input: deterministic mutants of the committed seeds ---------
+
+/// A module split at its section boundaries, with the code section split
+/// into bodies, so a body can be mutated and the sizes re-encoded.
+struct SplitModule {
+  std::vector<std::pair<uint8_t, std::vector<uint8_t>>> Sections;
+  std::vector<std::vector<uint8_t>> Bodies; ///< Code section entries.
+
+  /// Splits \p B; false when it is not well-formed enough to split.
+  bool parse(const std::vector<uint8_t> &B) {
+    size_t P = 8;
+    auto Leb = [&](uint32_t *V) {
+      LebResult R = readULEB128(B.data() + P, B.data() + B.size(), 32);
+      if (!R.Ok)
+        return false;
+      P += R.Length;
+      *V = uint32_t(R.Value);
+      return true;
+    };
+    while (P < B.size()) {
+      uint8_t Id = B[P++];
+      uint32_t Size = 0;
+      if (!Leb(&Size) || Size > B.size() - P)
+        return false;
+      size_t End = P + Size;
+      if (Id == 10) {
+        uint32_t N = 0;
+        if (!Leb(&N))
+          return false;
+        for (uint32_t I = 0; I < N; ++I) {
+          uint32_t Len = 0;
+          if (!Leb(&Len) || Len > End - P)
+            return false;
+          Bodies.emplace_back(B.begin() + P, B.begin() + P + Len);
+          P += Len;
+        }
+      }
+      Sections.emplace_back(Id, std::vector<uint8_t>(B.begin() + P,
+                                                     B.begin() + End));
+      P = End;
+    }
+    return B.size() >= 8 && !Bodies.empty();
+  }
+
+  std::vector<uint8_t> join() const {
+    std::vector<uint8_t> Out = {0x00, 0x61, 0x73, 0x6d, 0x01, 0x00, 0x00, 0x00};
+    for (const auto &[Id, Content] : Sections) {
+      std::vector<uint8_t> C = Content;
+      if (Id == 10) {
+        C.clear();
+        writeULEB128(C, Bodies.size());
+        for (const std::vector<uint8_t> &Body : Bodies) {
+          writeULEB128(C, Body.size());
+          C.insert(C.end(), Body.begin(), Body.end());
+        }
+      }
+      Out.push_back(Id);
+      writeULEB128(Out, C.size());
+      Out.insert(Out.end(), C.begin(), C.end());
+    }
+    return Out;
+  }
+};
+
+/// Replaces the LEB128 at \p Pos with the padded 5-byte encoding of
+/// \p Count: a vector or br_table count claiming more than the input holds.
+void inflateLeb(std::vector<uint8_t> &B, size_t Pos, uint32_t Count) {
+  size_t End = Pos;
+  while (End < B.size() && End - Pos < 4 && (B[End] & 0x80))
+    ++End;
+  End = std::min(End + 1, B.size());
+  const uint8_t Enc[5] = {uint8_t(Count | 0x80), uint8_t((Count >> 7) | 0x80),
+                          uint8_t((Count >> 14) | 0x80),
+                          uint8_t((Count >> 21) | 0x80),
+                          uint8_t(Count >> 28)};
+  B.erase(B.begin() + Pos, B.begin() + End);
+  B.insert(B.begin() + Pos, Enc, Enc + 5);
+}
+
+/// One mutation of \p B: byte set, bit flip, byte insert, byte delete, or
+/// LEB-count inflation at a random offset.
+void mutateBytes(std::vector<uint8_t> &B, Rng &R) {
+  static const uint32_t HugeCounts[] = {0xffffffffu, 0x7fffffffu,
+                                        0x10000000u, 0x00100000u};
+  unsigned Kind = unsigned(R.below(5));
+  if (B.empty() && Kind != 2)
+    return;
+  // An insert may append; every other kind needs an existing byte.
+  size_t Pos = size_t(R.below(Kind == 2 ? B.size() + 1 : B.size()));
+  switch (Kind) {
+  case 0:
+    B[Pos] = uint8_t(R.next());
+    break;
+  case 1:
+    B[Pos] ^= uint8_t(1u << R.below(8));
+    break;
+  case 2:
+    B.insert(B.begin() + Pos, uint8_t(R.next()));
+    break;
+  case 3:
+    B.erase(B.begin() + Pos);
+    break;
+  default:
+    inflateLeb(B, Pos, HugeCounts[R.below(4)]);
+    break;
+  }
+}
+
+/// The mutant set of one seed: the seed itself, its br_table counts
+/// inflated (sizes re-encoded, so the count reaches the validator), and
+/// \p Count random mutants, half to the raw module bytes (the decoder's
+/// surface) and half to one function body with the sizes re-encoded (the
+/// validator's and analyzer's surface).
+std::vector<std::vector<uint8_t>> mutantsOf(const std::vector<uint8_t> &Seed,
+                                            uint64_t RngSeed, unsigned Count) {
+  std::vector<std::vector<uint8_t>> Out = {Seed};
+  SplitModule S;
+  bool Split = S.parse(Seed);
+  if (Split)
+    for (size_t F = 0; F < S.Bodies.size(); ++F)
+      for (size_t P = 0; P + 1 < S.Bodies[F].size(); ++P)
+        if (S.Bodies[F][P] == uint8_t(Opcode::BrTable)) {
+          SplitModule T = S;
+          inflateLeb(T.Bodies[F], P + 1, 0xffffffffu);
+          Out.push_back(T.join());
+        }
+  Rng R(RngSeed);
+  for (unsigned I = 0; I < Count; ++I) {
+    if (!Split || I % 2 == 0) {
+      std::vector<uint8_t> B = Seed;
+      mutateBytes(B, R);
+      Out.push_back(std::move(B));
+      continue;
+    }
+    SplitModule T = S;
+    mutateBytes(T.Bodies[R.below(T.Bodies.size())], R);
+    Out.push_back(T.join());
+  }
+  return Out;
+}
+
+/// The hostile-input oracle. A rejection carries a diagnostic; an
+/// accepted module analyzes, and every function's single-pass machine
+/// code and threaded IR verify with zero findings. A crash, abort or
+/// sanitizer report fails the whole binary.
+void checkHostile(const std::vector<uint8_t> &Bytes, const std::string &What) {
+  WasmError Err;
+  std::unique_ptr<Module> M = decodeModule(Bytes, &Err);
+  if (!M) {
+    EXPECT_FALSE(Err.Message.empty()) << What << ": silent decode reject";
+    return;
+  }
+  if (!validateModule(*M, &Err)) {
+    EXPECT_FALSE(Err.Message.empty()) << What << ": silent validate reject";
+    return;
+  }
+  ModuleAnalysis A = analyzeModule(*M);
+  ASSERT_EQ(A.Funcs.size(), M->Funcs.size()) << What;
+  static const CompilerOptions Spc = configByName("wizard-spc").Opts;
+  for (const FuncDecl &F : M->Funcs) {
+    if (F.Imported)
+      continue;
+    std::unique_ptr<MCode> Code = compileFunction(*M, F, Spc);
+    ASSERT_NE(Code, nullptr) << What << ": func " << F.Index;
+    VerifyReport MR = verifyMachineCode(
+        *M, F, *Code,
+        VerifyScope::baseline().withFacts(A.Funcs[F.Index].StackBound));
+    EXPECT_TRUE(MR.ok()) << What << ": " << MR.text();
+    std::unique_ptr<ThreadedCode> TC =
+        predecodeFunction(*M, F, nullptr, /*EnableFusion=*/true);
+    ASSERT_NE(TC, nullptr) << What << ": func " << F.Index;
+    VerifyReport TR = verifyThreadedCode(*M, F, *TC);
+    EXPECT_TRUE(TR.ok()) << What << ": " << TR.text();
+  }
+}
+
+TEST(HostileInput, MutantsRejectWithDiagnosticOrVerifyClean) {
+  std::vector<std::filesystem::path> Seeds;
+  for (const char *Dir : {"/corpus", "/data"})
+    for (const auto &E :
+         std::filesystem::directory_iterator(std::string(WISP_TESTS_DIR) + Dir))
+      if (E.path().extension() == ".wasm")
+        Seeds.push_back(E.path());
+  std::sort(Seeds.begin(), Seeds.end());
+  ASSERT_GE(Seeds.size(), 10u);
+  size_t Mutants = 0;
+  for (size_t I = 0; I < Seeds.size(); ++I) {
+    std::ifstream In(Seeds[I], std::ios::binary);
+    std::vector<uint8_t> Seed((std::istreambuf_iterator<char>(In)),
+                              std::istreambuf_iterator<char>());
+    ASSERT_FALSE(Seed.empty()) << Seeds[I];
+    std::vector<std::vector<uint8_t>> Set = mutantsOf(Seed, 0x5eed + I, 10000);
+    for (size_t K = 0; K < Set.size(); ++K)
+      checkHostile(Set[K], Seeds[I].filename().string() + " mutant " +
+                               std::to_string(K));
+    Mutants += Set.size();
+    if (HasFatalFailure())
+      return;
+  }
+  EXPECT_GE(Mutants, Seeds.size() * 10000);
 }
 
 } // namespace

@@ -44,12 +44,20 @@ inline void expectDecodeError(std::vector<uint8_t> Bytes) {
   EXPECT_EQ(decodeModule(std::move(Bytes), &Err), nullptr);
 }
 
-/// Builds and decodes, then expects validation to fail.
-inline void expectInvalid(const ModuleBuilder &MB) {
+/// Decodes module bytes, then expects validation to fail with a diagnostic
+/// containing \p Msg, so a test names the check that must fire.
+inline void expectInvalid(std::vector<uint8_t> Bytes, const std::string &Msg) {
   WasmError Err;
-  std::unique_ptr<Module> M = decodeModule(MB.build(), &Err);
+  std::unique_ptr<Module> M = decodeModule(std::move(Bytes), &Err);
   ASSERT_TRUE(M != nullptr) << "decode: " << Err.Message;
   EXPECT_FALSE(validateModule(*M, &Err));
+  EXPECT_NE(Err.Message.find(Msg), std::string::npos)
+      << "diagnostic \"" << Err.Message << "\" lacks \"" << Msg << "\"";
+}
+
+/// Builds and decodes, then expects validation to fail with \p Msg.
+inline void expectInvalid(const ModuleBuilder &MB, const std::string &Msg) {
+  expectInvalid(MB.build(), Msg);
 }
 
 /// Result of a direct interpreter invocation.
