@@ -8,12 +8,15 @@
 
 #include "support/format.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <sys/types.h>
 #include <unistd.h>
 
@@ -346,10 +349,14 @@ constexpr uint32_t FileVersion = 1;
 constexpr size_t HeaderSize = 72;
 
 /// mkdir -p: creates every missing component. Races with other processes
-/// creating the same tree are benign (EEXIST).
+/// creating the same tree are benign (EEXIST). An existing directory, the
+/// common case on every engine start, costs one stat.
 bool makeDirs(const std::string &Dir) {
   if (Dir.empty())
     return false;
+  struct stat St;
+  if (stat(Dir.c_str(), &St) == 0)
+    return S_ISDIR(St.st_mode);
   std::string Partial;
   size_t I = 0;
   while (I < Dir.size()) {
@@ -362,7 +369,6 @@ bool makeDirs(const std::string &Dir) {
       break;
     I = Next;
   }
-  struct stat St;
   return stat(Dir.c_str(), &St) == 0 && S_ISDIR(St.st_mode);
 }
 
@@ -376,17 +382,41 @@ CacheKey payloadChecksum(const uint8_t *Data, size_t Len) {
   return H.key();
 }
 
-bool readFileBytes(const std::string &Path, std::vector<uint8_t> *Out) {
-  FILE *F = fopen(Path.c_str(), "rb");
-  if (!F)
+/// Reads the artifact file at \p Path with one readv in the common case:
+/// the header (short when the file is) into \p Header, the rest straight
+/// into \p Body, sized from fstat. Artifacts are published by rename and
+/// never rewritten in place, so a short count means end of file.
+bool readArtifactFile(const std::string &Path, uint8_t (&Header)[HeaderSize],
+                      size_t *HeaderGot, std::vector<uint8_t> *Body) {
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return false;
-  Out->clear();
-  uint8_t Buf[1 << 16];
-  size_t Got;
-  while ((Got = fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out->insert(Out->end(), Buf, Buf + Got);
-  bool Ok = !ferror(F);
-  fclose(F);
+  struct stat St;
+  bool Ok = fstat(Fd, &St) == 0;
+  size_t Size = Ok ? size_t(St.st_size) : 0;
+  Body->resize(Size > HeaderSize ? Size - HeaderSize : 0);
+  const size_t Want = HeaderSize + Body->size();
+  size_t Got = 0;
+  while (Ok && Got < Want) {
+    iovec Iov[2];
+    int N = 0;
+    if (Got < HeaderSize)
+      Iov[N++] = {Header + Got, HeaderSize - Got};
+    size_t BodyGot = Got > HeaderSize ? Got - HeaderSize : 0;
+    if (BodyGot < Body->size())
+      Iov[N++] = {Body->data() + BodyGot, Body->size() - BodyGot};
+    ssize_t R = ::readv(Fd, Iov, N);
+    if (R < 0 && errno == EINTR)
+      continue;
+    if (R <= 0) {
+      Ok = R == 0;
+      break;
+    }
+    Got += size_t(R);
+  }
+  ::close(Fd);
+  *HeaderGot = std::min(Got, HeaderSize);
+  Body->resize(Got > HeaderSize ? Got - HeaderSize : 0);
   return Ok;
 }
 
@@ -413,8 +443,12 @@ bool DiskCache::load(const CacheKey &K, DiskArtifactKind Kind,
   if (Why)
     Why->clear();
   std::string P = path(K, Kind);
-  std::vector<uint8_t> File;
-  if (!readFileBytes(P, &File)) {
+  // The header is checked in place; the payload is read once, straight
+  // into the buffer handed back.
+  uint8_t Header[HeaderSize];
+  size_t HeaderGot = 0;
+  std::vector<uint8_t> Body;
+  if (!readArtifactFile(P, Header, &HeaderGot, &Body)) {
     std::lock_guard<std::mutex> L(Mu);
     ++T.Misses;
     return false;
@@ -423,7 +457,7 @@ bool DiskCache::load(const CacheKey &K, DiskArtifactKind Kind,
   // rebuilt and re-published; a torn or damaged artifact is never served
   // and never consulted again).
   std::string Reason;
-  ByteReader R(File.data(), File.size());
+  ByteReader R(Header, HeaderGot);
   uint32_t Magic = 0, Version = 0;
   uint64_t Digest = 0, Hi = 0, Lo = 0, Build = 0, Len = 0;
   uint64_t CheckHi = 0, CheckLo = 0;
@@ -442,11 +476,11 @@ bool DiskCache::load(const CacheKey &K, DiskArtifactKind Kind,
     Reason = "stale build/version digest";
   else if (Hi != K.Hi || Lo != K.Lo || KindByte != uint8_t(Kind))
     Reason = "key echo mismatch";
-  else if (Len != File.size() - HeaderSize)
+  else if (Len != Body.size())
     Reason = strFormat("payload length %llu, file has %zu",
-                       (unsigned long long)Len, File.size() - HeaderSize);
+                       (unsigned long long)Len, Body.size());
   else {
-    CacheKey Check = payloadChecksum(File.data() + HeaderSize, size_t(Len));
+    CacheKey Check = payloadChecksum(Body.data(), Body.size());
     if (Check.Hi != CheckHi || Check.Lo != CheckLo)
       Reason = "payload checksum mismatch";
   }
@@ -458,7 +492,7 @@ bool DiskCache::load(const CacheKey &K, DiskArtifactKind Kind,
     ++T.Rejected;
     return false;
   }
-  Payload->assign(File.begin() + HeaderSize, File.end());
+  Payload->swap(Body);
   if (BuildNs)
     *BuildNs = Build;
   std::lock_guard<std::mutex> L(Mu);

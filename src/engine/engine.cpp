@@ -480,8 +480,8 @@ bool Engine::predecodeAndInstall(LoadedModule &LM, FuncInstance *Func) {
     CacheKey K = irCacheKey(LM.ContextDigest, *LM.M, *Func->Decl, Fuse,
                             Gates, Cfg.VerifyArtifacts);
     // Disk second level, mirroring compileShared: deserialized IR is
-    // re-verified on every load regardless of Cfg.VerifyArtifacts, against
-    // the empty probe bitmap (cacheUsable ⇒ no probes, matching the
+    // re-verified on every load regardless of Cfg.VerifyArtifacts, with no
+    // probe predicate (cacheUsable ⇒ no probes, matching the
     // cached-predecode precondition above). Damage or rejection deletes
     // the file and falls through to a clean re-predecode.
     std::function<std::shared_ptr<const ThreadedCode>(uint64_t *)> DiskLoad;
@@ -500,8 +500,7 @@ bool Engine::predecodeAndInstall(LoadedModule &LM, FuncInstance *Func) {
                      Disk->path(K, DiskArtifactKind::Ir);
           return nullptr;
         }
-        VerifyReport R = verifyThreadedCode(
-            *LM.M, *Func->Decl, *TCd, [](uint32_t) { return false; });
+        VerifyReport R = verifyThreadedCode(*LM.M, *Func->Decl, *TCd);
         if (!R.ok()) {
           Disk->removeRejected(K, DiskArtifactKind::Ir);
           DiskNote = "disk artifact rejected (verifier): " +

@@ -28,7 +28,10 @@ namespace wisp {
 /// top of stack, or a trap occurs. Frames without pre-decoded IR, or
 /// resuming at an offset the IR cannot express (inside a fused
 /// superinstruction after a deopt), delegate to the switch interpreter.
-RunSignal runThreadedInterpreter(Thread &T, size_t EntryDepth);
+///
+/// Pinned to a 64-byte boundary, like runExecutor (see executor.h).
+__attribute__((aligned(64))) RunSignal
+runThreadedInterpreter(Thread &T, size_t EntryDepth);
 
 } // namespace wisp
 

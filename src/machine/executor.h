@@ -24,7 +24,14 @@ namespace wisp {
 /// Runs the top frame (which must be a Jit frame) and any JIT frames it
 /// pushes, until control returns below \p EntryDepth, an interpreter-tier
 /// frame becomes top-of-stack (mixed-tier call or deopt), or a trap occurs.
-RunSignal runExecutor(Thread &T, size_t EntryDepth);
+///
+/// Pinned to a 64-byte boundary. The dispatch loop's speed depends on
+/// where its hot branches fall relative to instruction-fetch blocks, so
+/// without the pin any change to code linked ahead of it can move the
+/// executor by tens of percent (DESIGN.md, "Interpreter dispatch
+/// strategies").
+__attribute__((aligned(64))) RunSignal
+runExecutor(Thread &T, size_t EntryDepth);
 
 } // namespace wisp
 

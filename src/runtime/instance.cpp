@@ -6,23 +6,13 @@
 
 #include "runtime/instance.h"
 
+#include "runtime/pages.h"
 #include "support/format.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define WISP_MEM_MMAP 1
-#include <sys/mman.h>
-#if defined(__linux__)
-#define WISP_MEM_MREMAP 1
-#endif
-#else
-#define WISP_MEM_MMAP 0
-#endif
 
 using namespace wisp;
 
@@ -30,11 +20,8 @@ using namespace wisp;
 // Linear-memory backing store
 //===----------------------------------------------------------------------===//
 //
-// Anonymous mappings give zero pages lazily: a fresh memory costs no
+// Lazily zeroed page mappings (runtime/pages.h): a fresh memory costs no
 // memset and faults in only the pages the module actually touches.
-// Going through malloc instead would defeat this — glibc's dynamic
-// mmap threshold migrates repeated large allocations into the arena,
-// where calloc must memset recycled (cold) pages.
 
 namespace {
 
@@ -54,18 +41,6 @@ bool injectMapFault() {
   return false;
 }
 
-uint8_t *mapZeroPages(size_t N) {
-  if (injectMapFault())
-    return nullptr;
-#if WISP_MEM_MMAP
-  void *P = mmap(nullptr, N, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  return P == MAP_FAILED ? nullptr : static_cast<uint8_t *>(P);
-#else
-  return static_cast<uint8_t *>(calloc(N, 1));
-#endif
-}
-
 } // namespace
 
 void wisp::setMemoryFaultCountdown(int64_t N) {
@@ -75,11 +50,7 @@ void wisp::setMemoryFaultCountdown(int64_t N) {
 void LinearMemory::release() {
   if (!Buf)
     return;
-#if WISP_MEM_MMAP
-  munmap(Buf, Cap);
-#else
-  free(Buf);
-#endif
+  unmapZeroPages(Buf, Cap);
   Buf = nullptr;
   Cap = 0;
 }
@@ -89,7 +60,7 @@ bool LinearMemory::init(const Limits &L) {
   size_t N = size_t(L.Min) * WasmPageSize;
   release(); // Re-init of a used memory (rare): start from fresh zeros.
   if (N) {
-    Buf = mapZeroPages(N);
+    Buf = injectMapFault() ? nullptr : mapZeroPages(N);
     Cap = Buf ? N : 0;
   }
   Size = Cap;
@@ -105,23 +76,13 @@ bool LinearMemory::extendZeroed(size_t NewBytes) {
     if (NewBytes > Size) // Guard: Buf may be null when everything is 0.
       memset(Buf + Size, 0, NewBytes - Size);
   } else {
-#if WISP_MEM_MREMAP
-    if (Buf && injectMapFault()) // mapZeroPages injects for the null case.
+    if (injectMapFault())
       return false;
-    void *NB = Buf ? mremap(Buf, Cap, NewBytes, MREMAP_MAYMOVE)
-                   : mapZeroPages(NewBytes);
-    if (!NB || NB == MAP_FAILED)
-      return false;
-    Buf = static_cast<uint8_t *>(NB);
-#else
-    uint8_t *NB = mapZeroPages(NewBytes);
+    uint8_t *NB = Buf ? growZeroPages(Buf, Cap, Size, NewBytes)
+                      : mapZeroPages(NewBytes);
     if (!NB)
       return false;
-    if (Size)
-      memcpy(NB, Buf, Size);
-    release();
     Buf = NB;
-#endif
     Cap = NewBytes;
   }
   Size = NewBytes;

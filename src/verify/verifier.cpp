@@ -24,7 +24,7 @@
 #include "wasm/walker.h"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
 
 using namespace wisp;
 
@@ -38,22 +38,37 @@ constexpr size_t MaxFindings = 32;
 
 /// Validator-view coordinates of one opcode boundary.
 struct OpSite {
+  uint32_t Ip = 0; ///< Body offset of the opcode.
   Opcode Op = Opcode::Nop;
   uint32_t Height = 0; ///< Operand-stack height at entry (locals excluded).
   uint32_t Stp = 0;    ///< Side-table position at entry.
   uint32_t ImmA = 0;   ///< Callee of a call, type index of a call_indirect.
 };
 
-/// The scan result: every opcode boundary of the body, keyed by offset.
+/// The scan result: every opcode boundary of the body in ascending offset
+/// order, plus a dense body-offset -> site index so that a boundary lookup
+/// is one array read rather than a tree search.
 struct BodyScan {
+  static constexpr uint32_t NoSite = ~0u;
+
   bool Ok = false;
   std::string Error;
-  std::map<uint32_t, OpSite> Sites;
+  std::vector<OpSite> Sites;   ///< Ascending by Ip (the walk's order).
+  uint32_t Base = 0;           ///< Body offset of Index[0] (F.BodyStart).
+  std::vector<uint32_t> Index; ///< Ip - Base -> position in Sites, or NoSite.
   uint32_t TermEndIp = 0; ///< Offset of the function-terminating `end`.
 
   const OpSite *at(uint32_t Ip) const {
-    auto It = Sites.find(Ip);
-    return It == Sites.end() ? nullptr : &It->second;
+    uint32_t Off = Ip - Base; // Wraps past Index.size() for Ip < Base.
+    if (Off >= Index.size() || Index[Off] == NoSite)
+      return nullptr;
+    return &Sites[Index[Off]];
+  }
+  /// The first site at or above offset \p Ip.
+  std::vector<OpSite>::const_iterator from(uint32_t Ip) const {
+    return std::lower_bound(
+        Sites.begin(), Sites.end(), Ip,
+        [](const OpSite &S, uint32_t V) { return S.Ip < V; });
   }
 };
 
@@ -62,27 +77,28 @@ struct BodyScan {
 /// sees them.
 class SiteRecorder : public BodyWalker<SiteRecorder> {
 public:
-  SiteRecorder(const Module &M, const FuncDecl &F) : BodyWalker(M, F) {}
+  SiteRecorder(const Module &M, const FuncDecl &F) : BodyWalker(M, F) {
+    Out.Base = F.BodyStart;
+    Out.Index.assign(F.BodyEnd - F.BodyStart, BodyScan::NoSite);
+  }
 
   BodyScan run() {
     Out.Ok = walk();
     if (Out.Ok)
-      Out.TermEndIp = Out.Sites.rbegin()->first;
+      Out.TermEndIp = Out.Sites.back().Ip;
     return std::move(Out);
   }
 
   void beforeOp(Opcode Op, uint32_t Pc) {
-    Cur = &Out.Sites.emplace_hint(Out.Sites.end(), Pc,
-                                  OpSite{Op, height(), stp(), 0})
-               ->second;
+    Out.Index[Pc - Out.Base] = uint32_t(Out.Sites.size());
+    Out.Sites.push_back(OpSite{Pc, Op, height(), stp(), 0});
   }
-  void onCall(uint32_t FuncIdx) { Cur->ImmA = FuncIdx; }
-  void onCallIndirect(uint32_t TypeIdx) { Cur->ImmA = TypeIdx; }
+  void onCall(uint32_t FuncIdx) { Out.Sites.back().ImmA = FuncIdx; }
+  void onCallIndirect(uint32_t TypeIdx) { Out.Sites.back().ImmA = TypeIdx; }
   void onError(std::string Msg) { Out.Error = std::move(Msg); }
 
 private:
   BodyScan Out;
-  OpSite *Cur = nullptr;
 };
 
 // --- Machine-code checks -------------------------------------------------
@@ -707,7 +723,7 @@ public:
                    const std::function<bool(uint32_t)> &IsProbed,
                    const BodyScan &Scan, VerifyReport &Rep)
       : M(M), F(F), TC(TC), IsProbed(IsProbed), Scan(Scan), Rep(Rep),
-        NL(F.numLocalSlots()) {}
+        NL(F.numLocalSlots()), SpansSorted(sortedDisjoint(TC.FusedSpans)) {}
 
   void run();
 
@@ -716,12 +732,34 @@ private:
     if (Rep.Findings.size() < MaxFindings)
       Rep.Findings.push_back({Check, Unit, std::move(Detail)});
   }
-  /// The fused span covering \p BcIp, or nullptr.
+  /// The fused span covering \p BcIp, or nullptr. Predecode appends the
+  /// spans in ascending, disjoint order, so at most one covers an offset
+  /// and a binary search finds it; a damaged list (reported by
+  /// checkFusedSpans) falls back to the first match in list order.
   const std::pair<uint32_t, uint32_t> *spanAt(uint32_t BcIp) const {
-    for (const auto &Sp : TC.FusedSpans)
-      if (BcIp >= Sp.first && BcIp < Sp.second)
-        return &Sp;
-    return nullptr;
+    const auto &Spans = TC.FusedSpans;
+    if (!SpansSorted) {
+      for (const auto &Sp : Spans)
+        if (BcIp >= Sp.first && BcIp < Sp.second)
+          return &Sp;
+      return nullptr;
+    }
+    auto It = std::upper_bound(
+        Spans.begin(), Spans.end(), BcIp,
+        [](uint32_t V, const std::pair<uint32_t, uint32_t> &Sp) {
+          return V < Sp.first;
+        });
+    if (It == Spans.begin() || BcIp >= std::prev(It)->second)
+      return nullptr;
+    return &*std::prev(It);
+  }
+  static bool sortedDisjoint(
+      const std::vector<std::pair<uint32_t, uint32_t>> &Spans) {
+    for (size_t I = 0; I < Spans.size(); ++I)
+      if (Spans[I].first >= Spans[I].second ||
+          (I && Spans[I].first < Spans[I - 1].second))
+        return false;
+    return true;
   }
   void checkUnits();
   void checkBranchUnit(uint32_t Idx, const IrUnit &U);
@@ -741,6 +779,7 @@ private:
   const BodyScan &Scan;
   VerifyReport &Rep;
   const uint32_t NL;
+  const bool SpansSorted;
 };
 
 void ThreadedVerifier::checkResolvedTarget(uint32_t Idx,
@@ -800,11 +839,9 @@ void ThreadedVerifier::checkBranchUnit(uint32_t Idx, const IrUnit &U) {
   // unit's recorded Stp is also the branch entry index.
   uint32_t BrOpIp = U.BcIp;
   if (const auto *Sp = spanAt(U.BcIp)) {
-    auto It = Scan.Sites.lower_bound(Sp->second);
-    if (It != Scan.Sites.begin()) {
-      --It;
-      BrOpIp = It->first;
-    }
+    auto It = Scan.from(Sp->second);
+    if (It != Scan.Sites.begin())
+      BrOpIp = std::prev(It)->Ip;
   }
   const SideTableEntry &E = F.Table.Entries[U.Stp];
   checkResolvedTarget(Idx, E, U.A, U.Aux, U.ValCount, U.B, BrOpIp);
@@ -965,13 +1002,13 @@ void ThreadedVerifier::checkFusedSpans() {
                           "[%u, %u)",
                           E.TargetIp, Sp.first, Sp.second));
     if (IsProbed) {
-      auto It = Scan.Sites.upper_bound(Sp.first);
-      for (; It != Scan.Sites.end() && It->first < Sp.second; ++It)
-        if (IsProbed(It->first))
+      for (auto It = Scan.from(Sp.first + 1);
+           It != Scan.Sites.end() && It->Ip < Sp.second; ++It)
+        if (IsProbed(It->Ip))
           finding("threaded-fusion", Idx,
                   strFormat("probed offset %u lies inside fused span "
                             "[%u, %u)",
-                            It->first, Sp.first, Sp.second));
+                            It->Ip, Sp.first, Sp.second));
     }
   }
 }
@@ -979,13 +1016,13 @@ void ThreadedVerifier::checkFusedSpans() {
 void ThreadedVerifier::checkProbeUnits() {
   if (!IsProbed)
     return;
-  for (const auto &KV : Scan.Sites) {
-    if (!IsProbed(KV.first))
+  for (const OpSite &S : Scan.Sites) {
+    if (!IsProbed(S.Ip))
       continue;
-    uint32_t Idx = TC.unitIndexAt(KV.first);
-    if (Idx == ThreadedCode::NoUnit || TC.Units[Idx].BcIp != KV.first)
+    uint32_t Idx = TC.unitIndexAt(S.Ip);
+    if (Idx == ThreadedCode::NoUnit || TC.Units[Idx].BcIp != S.Ip)
       finding("threaded-probe", Idx == ThreadedCode::NoUnit ? 0 : Idx,
-              strFormat("probed offset %u has no exact unit", KV.first));
+              strFormat("probed offset %u has no exact unit", S.Ip));
   }
 }
 

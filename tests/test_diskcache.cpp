@@ -473,6 +473,97 @@ TEST(DiskCacheTest, UnopenableDirectoryDegradesGracefully) {
       42);
 }
 
+TEST(DiskCacheOpen, MissingNestedDirectoryIsCreated) {
+  TempDir Tmp;
+  ASSERT_FALSE(Tmp.Path.empty());
+  std::string Nested = Tmp.Path + "/a/b/c";
+  std::unique_ptr<DiskCache> DC = DiskCache::open(Nested);
+  ASSERT_TRUE(DC);
+  struct stat St;
+  ASSERT_EQ(stat(Nested.c_str(), &St), 0);
+  EXPECT_TRUE(S_ISDIR(St.st_mode));
+  CacheKey K{3, 4};
+  ASSERT_TRUE(DC->store(K, DiskArtifactKind::Code, {9, 8, 7}, 1));
+  std::vector<uint8_t> Payload;
+  EXPECT_TRUE(DC->load(K, DiskArtifactKind::Code, &Payload));
+  EXPECT_EQ(Payload, (std::vector<uint8_t>{9, 8, 7}));
+  removeTempDir(Nested);
+  rmdir((Tmp.Path + "/a/b").c_str());
+  rmdir((Tmp.Path + "/a").c_str());
+}
+
+TEST(DiskCacheOpen, ExistingDirectoryIsOpened) {
+  TempDir Tmp;
+  ASSERT_FALSE(Tmp.Path.empty());
+  CacheKey K{5, 6};
+  {
+    std::unique_ptr<DiskCache> DC = DiskCache::open(Tmp.Path);
+    ASSERT_TRUE(DC);
+    ASSERT_TRUE(DC->store(K, DiskArtifactKind::Ir, {1, 2}, 3));
+  }
+  // A second open of the now-existing directory serves what the first
+  // published.
+  std::unique_ptr<DiskCache> DC = DiskCache::open(Tmp.Path);
+  ASSERT_TRUE(DC);
+  std::vector<uint8_t> Payload;
+  uint64_t BuildNs = 0;
+  EXPECT_TRUE(DC->load(K, DiskArtifactKind::Ir, &Payload, &BuildNs));
+  EXPECT_EQ(Payload, (std::vector<uint8_t>{1, 2}));
+  EXPECT_EQ(BuildNs, 3u);
+}
+
+TEST(DiskCacheOpen, RegularFilePathDegradesToUncached) {
+  TempDir Tmp;
+  ASSERT_FALSE(Tmp.Path.empty());
+  std::string File = Tmp.Path + "/not-a-dir";
+  FILE *F = fopen(File.c_str(), "wb");
+  ASSERT_NE(F, nullptr);
+  fclose(F);
+  EXPECT_EQ(DiskCache::open(File), nullptr);
+
+  CompileCache Cache;
+  Engine E(diskConfig("wizard-spc", File), &Cache);
+  EXPECT_EQ(E.disk(), nullptr);
+  auto LM = loadOn(E, addModule());
+  ASSERT_TRUE(LM);
+  EXPECT_EQ(LM->Stats.DiskHits, 0u);
+  EXPECT_EQ(LM->Stats.DiskMisses, 0u);
+  EXPECT_EQ(
+      invokeOne(E, *LM, "add", {Value::makeI32(19), Value::makeI32(23)})
+          .asI32(),
+      42);
+}
+
+TEST(DiskCacheOpen, LargePayloadRoundTripsAndAppendedBytesAreRejected) {
+  TempDir Tmp;
+  ASSERT_FALSE(Tmp.Path.empty());
+  std::unique_ptr<DiskCache> DC = DiskCache::open(Tmp.Path);
+  ASSERT_TRUE(DC);
+  // Larger than any single read buffer, to cover the multi-read path.
+  std::vector<uint8_t> Big(200000);
+  for (size_t I = 0; I < Big.size(); ++I)
+    Big[I] = uint8_t(I * 31 + 7);
+  CacheKey K{7, 8};
+  ASSERT_TRUE(DC->store(K, DiskArtifactKind::Code, Big, 0));
+  std::vector<uint8_t> Payload;
+  ASSERT_TRUE(DC->load(K, DiskArtifactKind::Code, &Payload));
+  EXPECT_EQ(Payload, Big);
+
+  // One byte appended after the payload: the length echo catches it.
+  FILE *F = fopen(DC->path(K, DiskArtifactKind::Code).c_str(), "ab");
+  ASSERT_NE(F, nullptr);
+  fputc(0, F);
+  fclose(F);
+  std::string Why;
+  Payload = {42};
+  EXPECT_FALSE(DC->load(K, DiskArtifactKind::Code, &Payload, nullptr, &Why));
+  EXPECT_NE(Why.find("payload length 200000, file has 200001"),
+            std::string::npos)
+      << Why;
+  // A rejected load leaves the caller's buffer alone.
+  EXPECT_EQ(Payload, (std::vector<uint8_t>{42}));
+}
+
 TEST(DiskCacheTest, DisabledFlagWritesNothing) {
   TempDir Tmp;
   ASSERT_FALSE(Tmp.Path.empty());

@@ -456,4 +456,53 @@ TEST(PipelineLocals, AliasPushedBeforeIfSurvivesBothArms) {
   }
 }
 
+// --- Value stack backing: lazily zeroed pages, never a stale lane ------
+
+TEST(ValueStackBacking, FreshThreadReadsZeroAfterAnotherEngineWrote) {
+  uint32_t Cap = 0;
+  {
+    // An engine runs (pushing frames and operands), then its own stack's
+    // first and last slots are dirtied before it goes away.
+    EngineConfig Cfg;
+    Engine E(Cfg);
+    WasmError Err;
+    auto LM = E.load(loopSumModule(), &Err);
+    ASSERT_NE(LM, nullptr) << Err.Message;
+    std::vector<Value> Out;
+    ASSERT_EQ(E.invoke(*LM, "run", {Value::makeI32(100)}, &Out),
+              TrapReason::None);
+    ValueStack &VS = E.thread().VS;
+    Cap = VS.capacity();
+    ASSERT_GT(Cap, 1u);
+    VS.setSlot(0, ~uint64_t(0));
+    VS.setSlot(Cap - 1, ~uint64_t(0));
+    VS.setTag(0, ValType::F64);
+    VS.setTag(Cap - 1, ValType::F64);
+  }
+  Thread T(Cap, /*WithTags=*/true);
+  EXPECT_EQ(T.VS.capacity(), Cap);
+  EXPECT_EQ(T.VS.slot(0), 0u);
+  EXPECT_EQ(T.VS.slot(Cap - 1), 0u);
+  // Unwritten tags keep reading as I32, which probes rely on.
+  EXPECT_EQ(T.VS.tag(0), ValType::I32);
+  EXPECT_EQ(T.VS.tag(Cap - 1), ValType::I32);
+}
+
+TEST(ValueStackBacking, MemoryFaultInjectorLeavesStacksAlone) {
+  // The injector models linear-memory exhaustion only: an armed countdown
+  // must neither fail a stack mapping nor be consumed by one.
+  setMemoryFaultCountdown(0);
+  {
+    Thread T;
+    T.VS.setSlot(T.VS.capacity() - 1, 7);
+    EXPECT_EQ(T.VS.slot(T.VS.capacity() - 1), 7u);
+  }
+  LinearMemory Mem;
+  Limits L;
+  L.Min = 1;
+  EXPECT_FALSE(Mem.init(L)); // The countdown was still armed.
+  setMemoryFaultCountdown(-1);
+  EXPECT_TRUE(Mem.init(L));
+}
+
 } // namespace

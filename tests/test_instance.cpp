@@ -461,6 +461,32 @@ TEST(InstanceImage, ReimageWritesBeyondDirtyMarkStillRepaired) {
     ASSERT_EQ(Re->Memory.data()[I], 0) << I;
 }
 
+TEST(InstanceImage, GrowPastRetainedCapacityReadsZero) {
+  // A reimage shrink keeps the grown capacity, stale bytes included; a
+  // later grow beyond that capacity (which remaps the buffer) must still
+  // hand the module zero pages.
+  ModuleBuilder MB;
+  MB.addMemory(1, 8);
+  std::unique_ptr<Module> M = buildAndValidate(MB);
+  ASSERT_NE(M, nullptr);
+  WasmError Err;
+  auto Img = buildInstanceImage(*M, &Err);
+  ASSERT_NE(Img, nullptr) << Err.Message;
+  HostRegistry Hosts;
+  auto Inst = instantiateFromImage(*M, *Img, Hosts, nullptr, &Err);
+  ASSERT_NE(Inst, nullptr) << Err.Message;
+  ASSERT_GE(Inst->Memory.grow(2), 0); // Capacity: 3 pages.
+  uint64_t Off = 2 * uint64_t(WasmPageSize) + 17;
+  Inst->Memory.data()[Off] = 0x5A;
+  Inst->Memory.noteWrite(Off + 1);
+  auto Re = reimageInstance(std::move(Inst), *M, *Img, Hosts, nullptr, &Err);
+  ASSERT_NE(Re, nullptr) << Err.Message;
+  ASSERT_EQ(Re->Memory.pages(), 1u);
+  ASSERT_GE(Re->Memory.grow(3), 0); // 4 pages: past the retained 3.
+  for (size_t I = 0; I < Re->Memory.byteSize(); ++I)
+    ASSERT_EQ(Re->Memory.data()[I], 0) << I;
+}
+
 TEST(InstanceImage, FailedReimageNeverEscapes) {
   // Re-binding imports against a registry that no longer provides them
   // must fail — and consume the instance rather than hand back a

@@ -7,6 +7,8 @@
 #include "testutil.h"
 
 #include "engine/run.h"
+#include "interp/interpreter.h"
+#include "interp/threaded.h"
 #include "machine/assembler.h"
 #include "machine/executor.h"
 
@@ -212,6 +214,20 @@ TEST(Machine, ListingIsPrintable) {
   EXPECT_NE(L.find("LdSlot"), std::string::npos);
   EXPECT_NE(L.find("AddI32"), std::string::npos);
   EXPECT_NE(L.find("imm=7"), std::string::npos);
+}
+
+// --- Code layout pin of the dispatch loop --------------------------------
+
+TEST(DispatchLayout, PinnedDispatchLoopsAre64ByteAligned) {
+  // A dispatch loop's speed swings by up to 20-30% with its offset within
+  // a 64-byte fetch block; the declarations pin these (see executor.h and
+  // interpreter.h).
+  auto Exec = reinterpret_cast<uintptr_t>(&runExecutor);
+  EXPECT_EQ(Exec % 64, 0u) << std::hex << Exec;
+  auto Threaded = reinterpret_cast<uintptr_t>(&runThreadedInterpreter);
+  EXPECT_EQ(Threaded % 64, 0u) << std::hex << Threaded;
+  auto Interp = reinterpret_cast<uintptr_t>(&runInterpreter);
+  EXPECT_EQ(Interp % 64, 16u) << std::hex << Interp;
 }
 
 } // namespace

@@ -629,3 +629,102 @@ TEST(Verify, BackwardLineTablePcFires) {
   ASSERT_NE(Find, nullptr) << R.text();
   EXPECT_NE(Find->Detail.find("ascending"), std::string::npos) << R.text();
 }
+
+// --- Offsets the site index must reject ----------------------------------
+
+namespace {
+
+/// Classifies every site as a generic probe, so every opcode gets a
+/// ProbeFire naming its bytecode offset.
+class GenericEverywhereOracle : public ProbeSiteOracle {
+public:
+  ProbeSiteKind classify(uint32_t, uint32_t) const override {
+    return ProbeSiteKind::Generic;
+  }
+  uint64_t *counterAddr(uint32_t, uint32_t) const override { return nullptr; }
+};
+
+/// Offsets that are not opcode boundaries of \p F: one byte before the
+/// body, the body's end, and the byte inside a local.get's index
+/// immediate.
+std::vector<uint32_t> offBoundaryOffsets(const Module &M, const FuncDecl &F) {
+  std::vector<uint32_t> Offs = {F.BodyStart - 1, F.BodyEnd};
+  auto Code = compileFunction(M, F, CompilerOptions::allopt());
+  for (const LineEntry &E : Code->LineTable)
+    if (M.Bytes[E.Ip] == uint8_t(Opcode::LocalGet)) {
+      Offs.push_back(E.Ip + 1);
+      break;
+    }
+  EXPECT_EQ(Offs.size(), 3u) << "no local.get in the line table";
+  return Offs;
+}
+
+} // namespace
+
+TEST(Verify, LineEntryOffBoundaryEdgesFire) {
+  std::unique_ptr<Module> M = buildRichModule();
+  ASSERT_TRUE(M);
+  const FuncDecl &F = mainFunc(*M);
+  for (uint32_t Ip : offBoundaryOffsets(*M, F)) {
+    auto Code = compileFunction(*M, F, CompilerOptions::allopt());
+    ASSERT_TRUE(Code);
+    LineEntry &E = Code->LineTable[Code->LineTable.size() / 2];
+    E.Ip = Ip;
+    VerifyReport R = verifyMachineCode(*M, F, *Code, VerifyScope::baseline());
+    const VerifyFinding *Find = findCheck(R, "line-table");
+    ASSERT_NE(Find, nullptr) << "ip " << Ip << "\n" << R.text();
+    EXPECT_EQ(Find->Pc, E.Pc);
+    EXPECT_EQ(Find->Detail,
+              "line entry maps pc " + std::to_string(E.Pc) +
+                  " to non-boundary bytecode offset " + std::to_string(Ip));
+  }
+}
+
+TEST(Verify, OsrEntryOffBoundaryEdgesFire) {
+  std::unique_ptr<Module> M = buildRichModule();
+  ASSERT_TRUE(M);
+  const FuncDecl &F = mainFunc(*M);
+  CompilerOptions Opts = CompilerOptions::allopt();
+  Opts.EmitOsrEntries = true;
+  for (uint32_t Ip : offBoundaryOffsets(*M, F)) {
+    auto Code = compileFunction(*M, F, Opts);
+    ASSERT_TRUE(Code);
+    ASSERT_FALSE(Code->OsrEntries.empty());
+    Code->OsrEntries[0].Ip = Ip;
+    VerifyReport R = verifyMachineCode(*M, F, *Code, VerifyScope::baseline());
+    const VerifyFinding *Find = findCheck(R, "osr-entry");
+    ASSERT_NE(Find, nullptr) << "ip " << Ip << "\n" << R.text();
+    EXPECT_EQ(Find->Pc, Code->OsrEntries[0].Pc);
+    EXPECT_EQ(Find->Detail, "OSR entry ip " + std::to_string(Ip) +
+                                " is not an opcode boundary");
+  }
+}
+
+TEST(Verify, ProbeFireOffBoundaryEdgesFire) {
+  std::unique_ptr<Module> M = buildRichModule();
+  ASSERT_TRUE(M);
+  const FuncDecl &F = mainFunc(*M);
+  GenericEverywhereOracle Probes;
+  for (uint32_t Ip : offBoundaryOffsets(*M, F)) {
+    auto Code = compileFunction(*M, F, CompilerOptions::allopt(), &Probes);
+    ASSERT_TRUE(Code);
+    ASSERT_TRUE(
+        verifyMachineCode(*M, F, *Code, VerifyScope::baseline()).ok());
+    uint32_t FirePc = UINT32_MAX;
+    for (uint32_t Pc = 0; Pc < Code->Insts.size(); ++Pc)
+      if (Code->Insts[Pc].Op == MOp::ProbeFire) {
+        FirePc = Pc;
+        break;
+      }
+    ASSERT_NE(FirePc, UINT32_MAX) << "no ProbeFire emitted";
+    Code->Insts[FirePc].Imm = Ip;
+    VerifyReport R = verifyMachineCode(*M, F, *Code, VerifyScope::baseline());
+    const VerifyFinding *Find = findCheck(R, "probe-site");
+    ASSERT_NE(Find, nullptr) << "ip " << Ip << "\n" << R.text();
+    EXPECT_EQ(Find->Pc, FirePc);
+    EXPECT_EQ(Find->Detail, "ProbeFire at non-boundary bytecode offset " +
+                                std::to_string(Ip));
+    // The probe-shape pass skips what checkInst already reported.
+    EXPECT_FALSE(hasCheck(R, "probe-shape")) << R.text();
+  }
+}
