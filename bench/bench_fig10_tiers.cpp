@@ -10,6 +10,12 @@
 // time T(m) - T(m0) with adjusted speedup over wizard-int. Setup speed is
 // module bytes / (T(m0) - T(Mnop)) in MB/s.
 //
+// Checks the execution half of the paper's shape: every optimizing
+// config's adjusted-speedup geomean must exceed every baseline compiler's
+// (tiered and interpreter configs are not compared), or the bench exits 1.
+// The setup half (optimizing tiers ~10x slower to set up) is not checked:
+// the optimizing compiler here costs only about twice a baseline's.
+//
 //===----------------------------------------------------------------------===//
 
 #include "benchutil.h"
@@ -39,6 +45,10 @@ int main() {
     }
   }
 
+  // Slowest optimizing and fastest baseline-compiler speedup geomeans.
+  double OptLow = HUGE_VAL, BaseHigh = 0;
+  std::string OptLowName, BaseHighName;
+
   printf("\ntier,item,setup_mbps,adj_speedup\n");
   for (const EngineConfig &Cfg : Tiers) {
     double Nop = measure(Cfg, nopModule(), N + 4).TotalMs;
@@ -62,11 +72,23 @@ int main() {
             "%6.2fx [%5.2f..%6.2f]\n",
             Cfg.Name.c_str(), MS.Geomean, MS.Min, MS.Max, SS.Geomean, SS.Min,
             SS.Max);
+    if (Cfg.Mode == ExecMode::Jit || Cfg.Mode == ExecMode::JitLazy) {
+      if (Cfg.Compiler == CompilerKind::Optimizing) {
+        if (SS.Geomean < OptLow) {
+          OptLow = SS.Geomean;
+          OptLowName = Cfg.Name;
+        }
+      } else if (SS.Geomean > BaseHigh) {
+        BaseHigh = SS.Geomean;
+        BaseHighName = Cfg.Name;
+      }
+    }
   }
+  bool Holds = OptLow > BaseHigh;
   fprintf(stderr,
-          "\nExpected shape (paper): interpreters cluster at fast setup and\n"
-          "~1x speedup; baselines cluster in the middle; optimizing tiers\n"
-          "2-3x faster execution at ~10x slower setup; lazy tiers (jsc-*)\n"
-          "show inflated setup speed and deflated speedup.\n");
-  return 0;
+          "\nShape check: slowest optimizing config %s at %.2fx %s fastest "
+          "baseline compiler %s at %.2fx: %s\n",
+          OptLowName.c_str(), OptLow, Holds ? ">" : "<=", BaseHighName.c_str(),
+          BaseHigh, Holds ? "ok" : "FAILED");
+  return Holds ? 0 : 1;
 }

@@ -121,13 +121,15 @@ private:
 
 // --- Format digest --------------------------------------------------------
 
-uint64_t wisp::diskFormatDigest() {
+uint64_t wisp::diskFormatDigest(uint32_t Revision) {
   // Everything that, if it changed between the writing and the reading
-  // build, would make a byte-identical artifact mean something different:
-  // the serialization layout version, the opcode-table cardinalities (an
-  // inserted opcode renumbers every successor) and the record shapes.
+  // build, would make a byte-identical artifact mean something different
+  // or an artifact stale: the serialization layout version, the codegen
+  // revision, the opcode-table cardinalities (an inserted opcode
+  // renumbers every successor) and the record shapes.
   KeyHasher H;
   H.u32(1); // Serialization format version.
+  H.u32(Revision);
   H.u32(uint32_t(MOp::NumOps));
   H.u32(uint32_t(TOp::Count));
   H.u32(uint32_t(sizeof(MInst)));

@@ -60,11 +60,20 @@ enum class DiskArtifactKind : uint8_t {
   Ir = 'T',   ///< Serialized ThreadedCode.
 };
 
+/// Revision of what the compilers and the pre-decoder emit. Artifacts are
+/// keyed by their inputs, not by the code that built them, so without it
+/// a rebuilt wisp would keep serving artifacts an older compiler wrote:
+/// they still verify and run correctly, just not as this build compiles.
+/// Rule: any change to compiler output bumps this constant.
+inline constexpr uint32_t CodegenRevision = 2;
+
 /// Digest of everything that must match between the wisp build that wrote
 /// an artifact and the one reading it: serialization format version,
-/// opcode-table cardinalities and record layouts. Baked into every file
-/// header; a mismatch rejects the file (invalidation by construction).
-uint64_t diskFormatDigest();
+/// codegen revision, opcode-table cardinalities and record layouts. Baked
+/// into every file header; a mismatch rejects the file (invalidation by
+/// construction). \p Revision exists so tests can forge another build's
+/// digest.
+uint64_t diskFormatDigest(uint32_t Revision = CodegenRevision);
 
 /// Serializes \p Code (instructions, branch tables, stackmaps, line
 /// table, OSR entries, patch-point table, stats) into a self-contained

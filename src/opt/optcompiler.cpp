@@ -5,14 +5,18 @@
 //===----------------------------------------------------------------------===//
 //
 // Pipeline: bytecode -> linear IR over virtual registers (with constant
-// folding and per-block CSE during construction) -> use-count DCE ->
-// linear-scan register allocation with loop-extended intervals (intervals
-// live across calls are spilled: every machine register is caller-saved)
-// -> machine code emission with compare+branch fusion.
+// folding, per-block CSE and local.set coalescing during construction) ->
+// use-count DCE -> linear-scan register allocation over [def, last use]
+// intervals, where only values live into a loop are extended to its end
+// (intervals live across calls are spilled: every machine register is
+// caller-saved) -> machine code emission with compare+branch fusion
+// (register and immediate compares).
 //
 // IR conventions:
 //  * one virtual register per local (multiple defs, non-SSA); stack values
 //    get fresh single-def vregs, so constants propagate safely on them.
+//  * local.set of a temporary that the previous instruction defined
+//    retargets that instruction to the local's vreg instead of moving.
 //  * control merges copy stack vregs into pre-created merge vregs at the
 //    edges; locals need no merge handling at all.
 //  * calls stage arguments into value-stack slots per the engine calling
@@ -59,6 +63,7 @@ struct IRInst {
 struct VregInfo {
   ValType Ty = ValType::I32;
   bool HasConst = false;
+  bool MultiDef = false; ///< Merge or select vreg: assigned at several sites.
   uint64_t Konst = 0;
   uint32_t Uses = 0;
   // Live interval (instruction indexes, post-DCE renumbering not needed:
@@ -90,6 +95,11 @@ private:
     Vregs.push_back(VregInfo{Ty});
     Versions.push_back(0);
     return int(Vregs.size()) - 1;
+  }
+  int newMultiDefVreg(ValType Ty) {
+    int V = newVreg(Ty);
+    Vregs[uint32_t(V)].MultiDef = true;
+    return V;
   }
   /// Records a (re)definition of a vreg; value numbering keys include the
   /// version so stale entries never match (locals are multi-def).
@@ -128,10 +138,8 @@ private:
   }
   int emitConst(ValType Ty, uint64_t Bits) {
     // CSE constants per block.
-    uint64_t Key = Bits * 4 + uint64_t(Ty == ValType::F32 ? 1 : 0) +
-                   uint64_t(Ty == ValType::F64 ? 2 : 0) +
-                   (Ty == ValType::I64 ? 3 : 0) * 0;
-    auto It = ConstCSE.find(Key ^ (uint64_t(Ty) << 56));
+    CseKey Key = constKey(Ty, Bits);
+    auto It = ConstCSE.find(Key);
     if (It != ConstCSE.end())
       return It->second;
     int V = newVreg(Ty);
@@ -139,7 +147,7 @@ private:
     Vregs[V].Konst = Bits;
     emit(isFloatType(Ty) ? MOp::MovFI : MOp::MovRI, V, NoVreg, NoVreg, 0,
          int64_t(Bits));
-    ConstCSE[Key ^ (uint64_t(Ty) << 56)] = V;
+    ConstCSE[Key] = V;
     return V;
   }
 
@@ -207,6 +215,7 @@ private:
   bool foldBinop(MOp Op, uint8_t D, uint64_t Av, uint64_t Bv, uint64_t *Out);
   int cseLookupOrEmit(MOp Op, ValType Ty, int A, int B, uint8_t D,
                       int64_t Imm);
+  bool coalesceLocalSet(int V, int LV);
 
   void buildOp(Opcode Op);
   void skipDeadOp(Opcode Op);
@@ -252,7 +261,19 @@ private:
   };
   std::unordered_map<CseKey, int, CseHash> CSE;
   std::unordered_map<CseKey, int, CseHash> LoadCSE;
-  std::unordered_map<uint64_t, int> ConstCSE;
+  std::unordered_map<CseKey, int, CseHash> ConstCSE;
+
+  /// Value-numbering keys. Operand versions keep entries for multi-def
+  /// locals from matching after a redefinition.
+  CseKey cseKey(MOp Op, int A, int B, uint8_t D, int64_t Imm) const {
+    return {uint64_t(Op) | (uint64_t(D) << 16) | (uint64_t(uint32_t(A)) << 32),
+            uint64_t(uint32_t(B)) | (uint64_t(Imm) << 32),
+            (A >= 0 ? uint64_t(Versions[uint32_t(A)]) : 0) |
+                ((B >= 0 ? uint64_t(Versions[uint32_t(B)]) : 0) << 32)};
+  }
+  static CseKey constKey(ValType Ty, uint64_t Bits) {
+    return {Bits, uint64_t(Ty), 0};
+  }
 
   std::vector<std::pair<int, int>> LoopRanges; ///< IR position ranges.
   std::vector<int> CallPositions;
@@ -323,10 +344,7 @@ bool OptCompiler::foldBinop(MOp Op, uint8_t D, uint64_t Av, uint64_t Bv,
 
 int OptCompiler::cseLookupOrEmit(MOp Op, ValType Ty, int A, int B, uint8_t D,
                                  int64_t Imm) {
-  CseKey Key{uint64_t(Op) | (uint64_t(D) << 16) | (uint64_t(uint32_t(A)) << 32),
-             uint64_t(uint32_t(B)) | (uint64_t(Imm) << 32),
-             (A >= 0 ? uint64_t(Versions[uint32_t(A)]) : 0) |
-                 ((B >= 0 ? uint64_t(Versions[uint32_t(B)]) : 0) << 32)};
+  CseKey Key = cseKey(Op, A, B, D, Imm);
   bool IsLoad = Op >= MOp::LdM8S32 && Op <= MOp::LdMF64;
   auto &Table = IsLoad ? LoadCSE : CSE;
   auto It = Table.find(Key);
@@ -336,6 +354,46 @@ int OptCompiler::cseLookupOrEmit(MOp Op, ValType Ty, int A, int B, uint8_t D,
   emit(Op, V, A, B, D, Imm);
   Table[Key] = V;
   return V;
+}
+
+bool OptCompiler::coalesceLocalSet(int V, int LV) {
+  // Only a single-def temporary that the previous instruction defined,
+  // and that nothing else names, can be renamed: that instruction then
+  // writes the local itself and the move disappears.
+  if (Insts.empty() || V < int(NumLocals) || Vregs[uint32_t(V)].MultiDef)
+    return false;
+  IRInst &Def = Insts.back();
+  if (Def.Dst != V)
+    return false;
+  // A stack entry of LV would need a rescue copy before the (now earlier)
+  // redefinition; one of V (a CSE hit) would lose its definition.
+  auto named = [](const std::vector<int> &Vs, int X) {
+    return std::find(Vs.begin(), Vs.end(), X) != Vs.end();
+  };
+  if (named(Stack, V) || named(Stack, LV))
+    return false;
+  for (const Ctl &C : Ctrl)
+    if (named(C.SavedStack, V))
+      return false;
+  // Value-numbering entries must not hand out V, which is never defined
+  // now.
+  auto forget = [V](auto &Table, const CseKey &Key) {
+    auto It = Table.find(Key);
+    if (It != Table.end() && It->second == V)
+      Table.erase(It);
+  };
+  const VregInfo &Info = Vregs[uint32_t(V)];
+  if (Info.HasConst) {
+    forget(ConstCSE, constKey(Info.Ty, Info.Konst));
+  } else {
+    CseKey Key = cseKey(Def.Op, Def.A, Def.B, Def.D, Def.Imm);
+    forget(CSE, Key);
+    forget(LoadCSE, Key);
+  }
+  Def.Dst = LV;
+  Def.SideEffect = true; // Locals are multi-def; keep all assignments.
+  defBump(LV);
+  return true;
 }
 
 // Maps fixed-signature wasm opcodes to machine ops (shares the scheme of
@@ -491,10 +549,8 @@ void OptCompiler::buildOp(Opcode Op) {
     C.EndLabel = newLabel();
     if (Op == Opcode::Loop) {
       // Loop params become merge vregs assigned before the header.
-      for (size_t I = 0; I < Params.size(); ++I) {
-        int MV = newVreg(Params[I]);
-        C.MergeVregs.push_back(MV);
-      }
+      for (ValType T : Params)
+        C.MergeVregs.push_back(newMultiDefVreg(T));
       // Move current params into the merge vregs, then rebind the stack.
       for (size_t I = 0; I < Params.size(); ++I) {
         int Src = Stack[C.Base + I];
@@ -521,7 +577,7 @@ void OptCompiler::buildOp(Opcode Op) {
       }
     } else {
       for (ValType T : C.Results)
-        C.MergeVregs.push_back(newVreg(T));
+        C.MergeVregs.push_back(newMultiDefVreg(T));
     }
     Ctrl.push_back(std::move(C));
     return;
@@ -544,7 +600,7 @@ void OptCompiler::buildOp(Opcode Op) {
     C.EndLabel = newLabel();
     C.ElseLabel = newLabel();
     for (ValType T : C.Results)
-      C.MergeVregs.push_back(newVreg(T));
+      C.MergeVregs.push_back(newMultiDefVreg(T));
     C.SavedStack = Stack;
     if (Vregs[uint32_t(CondV)].HasConst) {
       // Branch folding: pick the live arm statically.
@@ -816,7 +872,7 @@ void OptCompiler::buildOp(Opcode Op) {
       return;
     }
     ValType Ty = Vregs[uint32_t(Av)].Ty;
-    int Dst = newVreg(Ty);
+    int Dst = newMultiDefVreg(Ty);
     // dst = a; if (!cond) dst = b — expressed with an internal label.
     IRInst Mv;
     Mv.Op = isFloatType(Ty) ? MOp::MovFF : MOp::MovRR;
@@ -856,6 +912,8 @@ void OptCompiler::buildOp(Opcode Op) {
     if (Op == Opcode::LocalSet)
       (void)pop();
     int LV = LocalVreg[Idx];
+    if (Op == Opcode::LocalSet && coalesceLocalSet(V, LV))
+      return;
     // Stack entries pushed by an earlier local.get alias the local's vreg;
     // rescue them into a fresh copy before the assignment clobbers LV.
     if (V != LV)
@@ -1227,20 +1285,18 @@ void OptCompiler::computeIntervals() {
     if (I.Op == MOp::MemCopy || I.Op == MOp::MemFill)
       touch(int(I.Imm2), int(P));
   }
-  // Loop extension: anything live inside a loop stays live for the whole
-  // loop (backedges). Inner loops were recorded before outer ones, so one
-  // in-order pass reaches the fixpoint.
+  // Loop extension: a value live into a loop (defined before the header,
+  // touched at or after it) stays live to the loop end, across the
+  // backedge. That covers the locals' entry definitions, loop-parameter
+  // merge vregs and stack values from outside. A vreg first defined inside
+  // the body is redefined on every path from the header to its uses, so it
+  // is dead at the backedge and keeps its own [def, last use] range. Inner
+  // loops were recorded before outer ones, so one in-order pass reaches the
+  // fixpoint.
   for (const auto &[Ls, Le] : LoopRanges) {
-    for (VregInfo &V : Vregs) {
-      if (V.Start < 0)
-        continue;
-      if (V.Start <= Le && V.End >= Ls) { // Intersects the loop.
-        if (V.Start > Ls)
-          V.Start = Ls;
-        if (V.End < Le)
-          V.End = Le;
-      }
-    }
+    for (VregInfo &V : Vregs)
+      if (V.Start < Ls && V.End >= Ls) // Unused vregs have End == -1.
+        V.End = std::max(V.End, Le);
   }
   // Mark intervals crossing calls: all registers are caller-saved, so
   // those values must live in memory.
@@ -1367,29 +1423,42 @@ void OptCompiler::emitMachine() {
       break;
     case MOp::JmpIf:
     case MOp::JmpIfZ: {
-      // Compare+branch fusion: the condition is a single-use CmpSet
-      // immediately preceding this branch.
+      // Compare+branch fusion: the condition is a single-use CmpSet (or its
+      // immediate form) immediately preceding this branch. The CmpSet is
+      // popped and the branch takes its pc: with no IR instruction between
+      // the two, no label can be bound between them.
+      auto isCmpSet = [](MOp Op) {
+        return Op == MOp::CmpSet32 || Op == MOp::CmpSetI32 ||
+               Op == MOp::CmpSet64 || Op == MOp::CmpSetI64;
+      };
       bool Fused = false;
       if (P > 0) {
         const IRInst &Prev = Insts[P - 1];
         if (!Prev.Dead && Prev.Dst == I.A &&
-            Vregs[uint32_t(I.A)].Uses == 1 &&
-            (Prev.Op == MOp::CmpSet32 || Prev.Op == MOp::CmpSet64) &&
+            Vregs[uint32_t(I.A)].Uses == 1 && isCmpSet(Prev.Op) &&
             Vregs[uint32_t(I.A)].R != NoReg && !Code.Insts.empty()) {
           // The CmpSet was just emitted as the previous machine inst.
-          MInst &MPrev = Code.Insts.back();
-          if ((MPrev.Op == MOp::CmpSet32 || MPrev.Op == MOp::CmpSet64) &&
-              MPrev.A == Vregs[uint32_t(I.A)].R) {
+          MInst MPrev = Code.Insts.back();
+          if (isCmpSet(MPrev.Op) && MPrev.A == Vregs[uint32_t(I.A)].R) {
             Cond C = Cond(MPrev.D);
             if (I.Op == MOp::JmpIfZ)
               C = negate(C);
-            bool Is64 = MPrev.Op == MOp::CmpSet64;
-            Reg Lhs = MPrev.B, Rhs = MPrev.C;
-            MPrev.Op = MOp::Nop;
-            if (Is64)
-              A.brCmp64(C, Lhs, Rhs, Labels[size_t(I.Imm)]);
-            else
-              A.brCmp32(C, Lhs, Rhs, Labels[size_t(I.Imm)]);
+            Label L = Labels[size_t(I.Imm)];
+            Code.Insts.pop_back();
+            switch (MPrev.Op) {
+            case MOp::CmpSet32:
+              A.brCmp32(C, MPrev.B, MPrev.C, L);
+              break;
+            case MOp::CmpSetI32:
+              A.brCmpI32(C, MPrev.B, MPrev.Imm, L);
+              break;
+            case MOp::CmpSet64:
+              A.brCmp64(C, MPrev.B, MPrev.C, L);
+              break;
+            default:
+              A.brCmpI64(C, MPrev.B, MPrev.Imm, L);
+              break;
+            }
             Fused = true;
           }
         }
@@ -1528,7 +1597,7 @@ void OptCompiler::run() {
   Root.Results = FT.Results;
   Root.EndLabel = newLabel();
   for (ValType T : FT.Results)
-    Root.MergeVregs.push_back(newVreg(T));
+    Root.MergeVregs.push_back(newMultiDefVreg(T));
   Ctrl.push_back(std::move(Root));
 
   while (R.pc() < F.BodyEnd) {

@@ -331,6 +331,21 @@ TEST(DiskCorruption, StaleFormatDigestRebuildsCleanly) {
   });
 }
 
+TEST(DiskCorruption, OtherCodegenRevisionRebuildsCleanly) {
+  corruptionRoundTrip([](const std::string &Path) {
+    // Forge the digest of a build whose compilers emitted different code
+    // (same format, previous codegen revision): its artifacts are stale.
+    uint64_t Old = diskFormatDigest(CodegenRevision - 1);
+    ASSERT_NE(Old, diskFormatDigest());
+    FILE *F = fopen(Path.c_str(), "r+b");
+    ASSERT_NE(F, nullptr);
+    ASSERT_EQ(fseek(F, 8, SEEK_SET), 0);
+    for (int I = 0; I < 8; ++I)
+      fputc(int((Old >> (8 * I)) & 0xff), F);
+    fclose(F);
+  });
+}
+
 TEST(DiskCorruption, WrongKeyEchoRebuildsCleanly) {
   corruptionRoundTrip([](const std::string &Path) {
     // Corrupt the key echo at offset 16: a renamed/collided file must not
