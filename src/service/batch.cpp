@@ -1,4 +1,4 @@
-//===- service/batch.cpp - parallel batch runner ----------------------------===//
+//===- service/batch.cpp - batch front end ----------------------------------===//
 //
 // Part of the wisp project, under the Apache License v2.0.
 //
@@ -6,298 +6,11 @@
 
 #include "service/batch.h"
 
-#include "analysis/analysis.h"
-#include "engine/registry.h"
-#include "suites/suites.h"
-#include "wasm/reader.h"
-#include "wasm/validator.h"
+#include "service/runtime.h"
 #include "support/clock.h"
 #include "support/format.h"
-#include "support/parse.h"
-
-#include <cctype>
-#include <cerrno>
-#include <condition_variable>
-#include <cstdlib>
-#include <cstring>
-#include <deque>
-#include <fstream>
-#include <map>
-#include <mutex>
-#include <thread>
 
 namespace wisp {
-
-namespace {
-
-bool knownConfig(const std::string &Name) {
-  for (const EngineConfig &C : figure10Registry())
-    if (C.Name == Name)
-      return true;
-  return false;
-}
-
-/// Splits a line into whitespace-separated tokens.
-std::vector<std::string> tokenize(const std::string &Line) {
-  std::vector<std::string> Toks;
-  size_t I = 0;
-  while (I < Line.size()) {
-    while (I < Line.size() && isspace(uint8_t(Line[I])))
-      ++I;
-    size_t Start = I;
-    while (I < Line.size() && !isspace(uint8_t(Line[I])))
-      ++I;
-    if (I > Start)
-      Toks.push_back(Line.substr(Start, I - Start));
-  }
-  return Toks;
-}
-
-/// A bounded MPMC queue of job indexes: the submission side blocks when
-/// the queue is full (backpressure — the seam future async submission
-/// plugs into), workers block when it is empty until close().
-class BoundedQueue {
-public:
-  explicit BoundedQueue(size_t Cap) : Cap(Cap ? Cap : 1) {}
-
-  void push(uint32_t V) {
-    std::unique_lock<std::mutex> L(Mu);
-    NotFull.wait(L, [&] { return Q.size() < Cap; });
-    Q.push_back(V);
-    NotEmpty.notify_one();
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> L(Mu);
-    Closed = true;
-    NotEmpty.notify_all();
-  }
-
-  bool pop(uint32_t *Out) {
-    std::unique_lock<std::mutex> L(Mu);
-    NotEmpty.wait(L, [&] { return !Q.empty() || Closed; });
-    if (Q.empty())
-      return false;
-    *Out = Q.front();
-    Q.pop_front();
-    NotFull.notify_one();
-    return true;
-  }
-
-private:
-  std::mutex Mu;
-  std::condition_variable NotEmpty, NotFull;
-  std::deque<uint32_t> Q;
-  size_t Cap;
-  bool Closed = false;
-};
-
-/// Executes one job in a private, freshly constructed Engine (the same
-/// fresh-VM-per-item methodology the paper's measurements use). Workers
-/// share nothing mutable except \p Cache — the batch-local compile cache,
-/// internally synchronized and handing out immutable artifacts — so
-/// identical bodies across jobs decode/compile once per batch.
-BatchJobResult runOneJob(const BatchJob &Job, const BatchOptions &Opts,
-                         CompileCache *Cache, InstancePool *Pool) {
-  BatchJobResult R;
-  R.Index = Job.Index;
-  EngineConfig Cfg = configByName(Job.Config);
-  // Explicit cache scoping: never fall back to the process-wide cache
-  // from inside a batch, so reports depend only on the manifest.
-  Cfg.UseCompileCache = Cache != nullptr;
-  // The persistent disk level rides below the batch-local cache: jobs in
-  // a later batch (a new process) warm-start from this one's artifacts.
-  Cfg.DiskCacheDir = Opts.CacheDir;
-  Cfg.UseDiskCache = Opts.DiskCache;
-  // Likewise for the instance pool: only the per-worker pool, never an
-  // engine-private one (which could not outlive this job anyway).
-  Cfg.PoolInstances = Pool != nullptr;
-  // Per-job governance from the manifest's fuel= / deadline-ms= keys.
-  Cfg.FuelBudget = Job.Fuel;
-  Cfg.DeadlineMs = Job.DeadlineMs;
-  Engine E(Cfg, Cache, Pool);
-  installGcHostFuncs(E);
-  WasmError Err;
-  std::unique_ptr<LoadedModule> LM = E.load(Job.Bytes, &Err);
-  if (!LM) {
-    R.Error = strFormat("load failed: %s (offset %zu)", Err.Message.c_str(),
-                        Err.Offset);
-    return R;
-  }
-  R.Stats = LM->Stats;
-  FuncInstance *F = LM->Inst->findExportedFunc(Job.Invoke);
-  if (!F) {
-    R.Error = strFormat("no exported function '%s'", Job.Invoke.c_str());
-    return R;
-  }
-  const std::vector<ValType> &Params = F->Type->Params;
-  if (Job.RawArgs.size() != Params.size()) {
-    R.Error = strFormat("'%s' takes %zu argument(s), got %zu",
-                        Job.Invoke.c_str(), Params.size(), Job.RawArgs.size());
-    return R;
-  }
-  std::vector<Value> Args;
-  for (size_t I = 0; I < Params.size(); ++I) {
-    Value V;
-    if (!parseValueText(Job.RawArgs[I], Params[I], &V)) {
-      R.Error = strFormat("cannot parse argument %zu '%s' as %s", I + 1,
-                          Job.RawArgs[I].c_str(), valTypeName(Params[I]));
-      return R;
-    }
-    Args.push_back(V);
-  }
-  R.Trap = E.invoke(*LM, Job.Invoke, Args, &R.Results);
-  if (R.Trap != TrapReason::None)
-    R.Results.clear();
-  R.ModeledCycles = E.thread().modeledCycles();
-  R.Ok = true;
-  // Retire the instance into the per-worker pool (recycle declines on
-  // its own when the load was not imaged or the heap holds live
-  // objects); a later same-module job on this worker re-images it.
-  E.recycle(std::move(LM));
-  return R;
-}
-
-} // namespace
-
-const char *tierToConfigName(const std::string &Tier) {
-  if (Tier == "int")
-    return "wizard-int"; // In-place interpreter.
-  if (Tier == "threaded")
-    return "interp-threaded"; // Pre-decoded threaded-dispatch interpreter.
-  if (Tier == "spc")
-    return "wizard-spc"; // The paper's single-pass compiler.
-  if (Tier == "copypatch")
-    return "wasm-now"; // Copy-and-patch templates.
-  if (Tier == "twopass")
-    return "wazero"; // Listing-IR two-pass baseline.
-  if (Tier == "opt")
-    return "wasmtime"; // IR-based optimizing compiler.
-  return nullptr;
-}
-
-bool parseValueText(const std::string &Text, ValType Ty, Value *Out) {
-  if (Text.empty())
-    return false;
-  errno = 0;
-  const char *S = Text.c_str();
-  char *End = nullptr;
-  switch (Ty) {
-  case ValType::I32:
-  case ValType::I64: {
-    // Accept the full signed and unsigned range of the target width;
-    // reject anything that would silently truncate. The unsigned branch
-    // goes through the strict parser (support/parse.h): bare strtoull
-    // would skip leading whitespace and wrap out-of-range values.
-    long long V;
-    if (Text[0] == '-') {
-      V = strtoll(S, &End, 0);
-      if (End == S || *End || errno == ERANGE)
-        return false;
-    } else {
-      uint64_t U;
-      if (!parseU64(S, &U, 0))
-        return false;
-      V = (long long)U;
-    }
-    if (Ty == ValType::I32) {
-      if (Text[0] == '-' ? V < INT32_MIN : (unsigned long long)V > UINT32_MAX)
-        return false;
-      *Out = Value::makeI32(int32_t(uint32_t(V)));
-    } else {
-      *Out = Value::makeI64(V);
-    }
-    return true;
-  }
-  case ValType::F32:
-  case ValType::F64: {
-    double V = strtod(S, &End);
-    if (End == S || *End)
-      return false;
-    *Out = Ty == ValType::F32 ? Value::makeF32(float(V)) : Value::makeF64(V);
-    return true;
-  }
-  default:
-    return false; // Reference arguments cannot be spelled in text.
-  }
-}
-
-std::string valueText(Value V) {
-  switch (V.Type) {
-  case ValType::I32:
-    return strFormat("%d:i32", V.asI32());
-  case ValType::I64:
-    return strFormat("%lld:i64", (long long)V.asI64());
-  case ValType::F32:
-    return strFormat("%g:f32", double(V.asF32()));
-  case ValType::F64:
-    return strFormat("%g:f64", V.asF64());
-  default:
-    return strFormat("0x%llx:%s", (unsigned long long)V.Bits,
-                     valTypeName(V.Type));
-  }
-}
-
-namespace {
-
-bool readFileBytes(const std::string &Path, std::vector<uint8_t> *Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  Out->assign(std::istreambuf_iterator<char>(In),
-              std::istreambuf_iterator<char>());
-  return true;
-}
-
-/// Suite-item lookup over pre-generated items ("suite/name", or a bare
-/// item name if unambiguous). Copies the bytes so callers can cache and
-/// reuse the generated item list across jobs.
-bool resolveFromSuites(const std::string &Spec, std::vector<LineItem> &Items,
-                       bool UseM0, std::vector<uint8_t> *Out,
-                       std::string *Err) {
-  LineItem *ByName = nullptr;
-  for (LineItem &I : Items) {
-    if (I.Suite + "/" + I.Name == Spec) {
-      *Out = UseM0 ? I.M0Bytes : I.Bytes;
-      return true;
-    }
-    if (I.Name == Spec) {
-      if (ByName) {
-        if (Err)
-          *Err = strFormat("item name '%s' is ambiguous (%s/%s and %s/%s); "
-                           "use the suite/name form",
-                           Spec.c_str(), ByName->Suite.c_str(),
-                           ByName->Name.c_str(), I.Suite.c_str(),
-                           I.Name.c_str());
-        return false;
-      }
-      ByName = &I;
-    }
-  }
-  if (ByName) {
-    *Out = UseM0 ? ByName->M0Bytes : ByName->Bytes;
-    return true;
-  }
-  if (Err)
-    *Err = strFormat("cannot resolve module '%s' (not a file, not a suite "
-                     "item)",
-                     Spec.c_str());
-  return false;
-}
-
-} // namespace
-
-bool resolveModuleSpec(const std::string &Spec, int Scale, bool UseM0,
-                       std::vector<uint8_t> *Out, std::string *Err) {
-  if (readFileBytes(Spec, Out))
-    return true;
-  if (Spec == "nop") {
-    *Out = nopModule();
-    return true;
-  }
-  std::vector<LineItem> Items = allSuites(Scale);
-  return resolveFromSuites(Spec, Items, UseM0, Out, Err);
-}
 
 bool parseBatchManifest(const std::string &Text,
                         std::vector<BatchJob> *Out, std::string *Err) {
@@ -310,121 +23,13 @@ bool parseBatchManifest(const std::string &Text,
         Pos, Nl == std::string::npos ? std::string::npos : Nl - Pos);
     Pos = Nl == std::string::npos ? Text.size() + 1 : Nl + 1;
     ++LineNo;
-    size_t Hash = Line.find('#');
-    if (Hash != std::string::npos)
-      Line.resize(Hash);
-    std::vector<std::string> Toks = tokenize(Line);
+    std::vector<std::string> Toks = jobLineTokens(Line);
     if (Toks.empty())
       continue;
-
     BatchJob Job;
-    Job.Index = uint32_t(Out->size());
-    Job.Line = LineNo;
-    Job.Module = Toks[0];
-    std::string Tier, Config;
-    for (size_t I = 1; I < Toks.size(); ++I) {
-      const std::string &T = Toks[I];
-      auto Val = [&](const char *Key) -> const char * {
-        size_t N = strlen(Key);
-        return T.compare(0, N, Key) == 0 ? T.c_str() + N : nullptr;
-      };
-      if (const char *V = Val("tier=")) {
-        Tier = V;
-      } else if (const char *V = Val("config=")) {
-        Config = V;
-      } else if (const char *V = Val("invoke=")) {
-        Job.Invoke = V;
-      } else if (const char *V = Val("scale=")) {
-        char *End = nullptr;
-        long S = strtol(V, &End, 10);
-        if (End == V || *End || S < 1) {
-          *Err = strFormat("manifest line %u: bad scale '%s'", LineNo, V);
-          return false;
-        }
-        Job.Scale = int(S);
-      } else if (T == "m0") {
-        Job.UseM0 = true;
-      } else if (const char *V = Val("id=")) {
-        if (!*V) {
-          *Err = strFormat("manifest line %u: empty id=", LineNo);
-          return false;
-        }
-        Job.Id = V;
-      } else if (const char *V = Val("fuel=")) {
-        uint64_t F = 0;
-        if (!parseU64(V, &F) || F == 0) {
-          *Err = strFormat("manifest line %u: bad fuel '%s' (want a "
-                           "positive budget)",
-                           LineNo, V);
-          return false;
-        }
-        Job.Fuel = F;
-      } else if (const char *V = Val("deadline-ms=")) {
-        char *End = nullptr;
-        long D = strtol(V, &End, 10);
-        if (End == V || *End || D < 1 || D > 3600000) {
-          *Err = strFormat("manifest line %u: bad deadline-ms '%s' (want "
-                           "1..3600000)",
-                           LineNo, V);
-          return false;
-        }
-        Job.DeadlineMs = uint32_t(D);
-      } else if (const char *V = Val("args=")) {
-        // Comma-separated values, parsed against the export signature at
-        // run time (the signature is unknown until the module loads).
-        // "args=" alone means zero arguments; an empty segment ("3,,7" or
-        // a trailing comma) is a typo, not a value, and is rejected like
-        // every other malformed key.
-        if (*V) {
-          std::string Arg;
-          for (const char *P = V;; ++P) {
-            if (*P == ',' || *P == '\0') {
-              if (Arg.empty()) {
-                *Err = strFormat("manifest line %u: empty args= segment",
-                                 LineNo);
-                return false;
-              }
-              Job.RawArgs.push_back(Arg);
-              Arg.clear();
-              if (*P == '\0')
-                break;
-            } else {
-              Arg += *P;
-            }
-          }
-        }
-      } else {
-        *Err = strFormat("manifest line %u: unknown key '%s' (want tier= "
-                         "config= invoke= scale= m0 args= id= fuel= "
-                         "deadline-ms=)",
-                         LineNo, T.c_str());
-        return false;
-      }
-    }
-    if (!Tier.empty() && !Config.empty()) {
-      *Err = strFormat("manifest line %u: tier= and config= are mutually "
-                       "exclusive",
-                       LineNo);
+    if (!parseJobTokens(Toks, LineNo, &Job, Err))
       return false;
-    }
-    if (!Tier.empty()) {
-      const char *Name = tierToConfigName(Tier);
-      if (!Name) {
-        *Err = strFormat("manifest line %u: unknown tier '%s'", LineNo,
-                         Tier.c_str());
-        return false;
-      }
-      Job.Config = Name;
-    } else if (!Config.empty()) {
-      if (!knownConfig(Config)) {
-        *Err = strFormat("manifest line %u: unknown config '%s'", LineNo,
-                         Config.c_str());
-        return false;
-      }
-      Job.Config = Config;
-    } else {
-      Job.Config = "wizard-spc";
-    }
+    Job.Index = uint32_t(Out->size());
     if (Job.Id.empty())
       Job.Id = std::to_string(Job.Index);
     Out->push_back(std::move(Job));
@@ -437,25 +42,16 @@ bool parseBatchManifest(const std::string &Text,
 }
 
 bool resolveBatchModules(std::vector<BatchJob> *Jobs, std::string *Err) {
-  // Suite generation materializes every embedded module, so do it at most
-  // once per distinct scale= rather than once per manifest line.
-  std::map<int, std::vector<LineItem>> SuiteCache;
+  ModuleResolver Modules;
   for (BatchJob &Job : *Jobs) {
-    if (readFileBytes(Job.Module, &Job.Bytes))
-      continue;
-    if (Job.Module == "nop") {
-      Job.Bytes = nopModule();
-      continue;
-    }
-    auto It = SuiteCache.find(Job.Scale);
-    if (It == SuiteCache.end())
-      It = SuiteCache.emplace(Job.Scale, allSuites(Job.Scale)).first;
     std::string Detail;
-    if (!resolveFromSuites(Job.Module, It->second, Job.UseM0, &Job.Bytes,
-                           &Detail)) {
+    ModuleBytes Bytes =
+        Modules.resolve(Job.Module, Job.Scale, Job.UseM0, &Detail);
+    if (!Bytes) {
       *Err = strFormat("manifest line %u: %s", Job.Line, Detail.c_str());
       return false;
     }
+    Job.Bytes = *Bytes;
   }
   return true;
 }
@@ -466,103 +62,64 @@ BatchReport runBatch(const std::vector<BatchJob> &Jobs,
   Report.Workers = Opts.Workers ? Opts.Workers : 1;
   Report.Results.resize(Jobs.size());
   Report.CacheEnabled = Opts.CompileCache;
+  Report.PoolEnabled = Opts.PoolInstances;
   // One compile cache per batch, shared by every worker: the first job to
   // reach a given body compiles it, every later job reuses the artifact.
   // Batch-local (not the process cache) so aggregate counters describe
   // exactly this manifest; same capacity knob (WISP_CACHE_BYTES) as the
   // process cache.
   CompileCache Cache(CompileCache::configuredCapacityBytes());
-  CompileCache *SharedCache = Opts.CompileCache ? &Cache : nullptr;
+  RuntimeSettings S;
+  S.Policy = EnginePolicy::FreshPerJob;
+  S.Cache = Opts.CompileCache ? &Cache : nullptr;
+  S.PoolInstances = Opts.PoolInstances;
+  S.CacheDir = Opts.CacheDir;
+  S.DiskCache = Opts.DiskCache;
   double T0 = nowMs();
 
-  // Static admission precheck: a job whose analyzer-inferred bounds prove
-  // it cannot complete under the effective caps (batch engines run with
-  // the defaults: 4096-frame call depth, architecture-bounded pages) gets
-  // its deterministic error result filled in here and never reaches the
-  // queue. Decisions are memoized per (module spec, invoke) since
-  // manifests repeat specs heavily.
-  std::vector<bool> Skip(Jobs.size(), false);
-  if (Opts.StaticPrecheck) {
-    std::map<std::string, std::pair<bool, std::string>> Memo;
-    for (size_t I = 0; I < Jobs.size(); ++I) {
-      const BatchJob &Job = Jobs[I];
-      if (Job.Bytes.empty())
-        continue; // Unresolved spec: the worker path reports the error.
-      std::string Key =
-          strFormat("%s\x1f%d\x1f%d\x1f%s", Job.Module.c_str(), Job.Scale,
-                    int(Job.UseM0), Job.Invoke.c_str());
-      auto It = Memo.find(Key);
-      if (It == Memo.end()) {
-        std::pair<bool, std::string> Decision{false, std::string()};
-        WasmError WErr;
-        std::unique_ptr<Module> M = decodeModule(Job.Bytes, &WErr);
-        if (M && validateModule(*M, &WErr)) {
-          ModuleAnalysis A = analyzeModule(*M);
-          Decision.first = staticBoundsReject(*M, A, Job.Invoke, 0, 0, 0,
-                                              &Decision.second);
-        }
-        It = Memo.emplace(std::move(Key), std::move(Decision)).first;
-      }
-      if (It->second.first) {
-        Skip[I] = true;
-        BatchJobResult &R = Report.Results[I];
-        R.Index = Job.Index;
-        R.Ok = false;
-        R.Error = "static-bounds: " + It->second.second;
-      }
+  // Bounded to 2x the worker count: enough to keep every worker fed,
+  // small enough that submission exerts backpressure. Each result lands
+  // in its own pre-sized slot, so workers never contend on the report.
+  JobQueue<uint32_t> Queue(size_t(Report.Workers) * 2);
+  WorkerPool<uint32_t> Pool(S, Report.Workers, Queue,
+                            [&](Worker &W, uint32_t &Idx) {
+                              Report.Results[Idx] =
+                                  W.run(Jobs[Idx], Jobs[Idx].Bytes);
+                            });
+  // Batch engines run with the engine defaults (4096-frame call depth,
+  // architecture-bounded pages), so the precheck's caps are all 0. A job
+  // it rejects gets its deterministic error result here and never reaches
+  // the queue; an unresolved job is left to the runner's error path.
+  StaticPrecheck Precheck(0, 0, 0);
+  for (uint32_t I = 0; I < uint32_t(Jobs.size()); ++I) {
+    std::string Reason;
+    if (Opts.StaticPrecheck && !Jobs[I].Bytes.empty() &&
+        Precheck.reject(Jobs[I], Jobs[I].Bytes, &Reason)) {
+      Report.Results[I].Index = Jobs[I].Index;
+      Report.Results[I].Error = "static-bounds: " + Reason;
+    } else {
+      Queue.push(I);
     }
   }
-
-  // Bounded to 2x the worker count: enough to keep every worker fed,
-  // small enough that submission exerts backpressure.
-  BoundedQueue Queue(size_t(Report.Workers) * 2);
-  std::vector<std::thread> Pool;
-  Pool.reserve(Report.Workers);
-  // One instance pool per worker, owned by the worker loop and reused
-  // across all of that worker's jobs (instances are single-threaded, so
-  // pools must never cross workers). Totals land in a per-worker slot and
-  // are summed after the join — no synchronization on the hot path.
-  Report.PoolEnabled = Opts.PoolInstances;
-  std::vector<InstancePool::Totals> PoolTotals(Report.Workers);
-  for (unsigned W = 0; W < Report.Workers; ++W) {
-    Pool.emplace_back([&Jobs, &Report, &Queue, &PoolTotals, SharedCache,
-                       &Opts, W] {
-      InstancePool WorkerPool;
-      InstancePool *P = Opts.PoolInstances ? &WorkerPool : nullptr;
-      uint32_t Idx = 0;
-      // Each result lands in its own pre-sized slot, so workers never
-      // contend on the result vector.
-      while (Queue.pop(&Idx))
-        Report.Results[Idx] = runOneJob(Jobs[Idx], Opts, SharedCache, P);
-      PoolTotals[W] = WorkerPool.totals();
-    });
-  }
-  for (uint32_t I = 0; I < uint32_t(Jobs.size()); ++I)
-    if (!Skip[I])
-      Queue.push(I);
-  Queue.close();
-  for (std::thread &Th : Pool)
-    Th.join();
+  Pool.join();
   Report.WallMs = nowMs() - T0;
-  for (const InstancePool::Totals &PT : PoolTotals) {
+  // Per-worker totals, summed after the join: no synchronization on the
+  // hot path.
+  for (const std::unique_ptr<Worker> &W : Pool.workers()) {
+    const InstancePool::Totals &PT = W->Pool.totals();
     Report.PoolHits += PT.Hits;
     Report.PoolMisses += PT.Misses;
     Report.PoolReturned += PT.Returned;
+    Report.DiskEnabled |= W->SawDisk;
   }
-  if (SharedCache) {
-    CompileCache::Totals T = SharedCache->totals();
+  if (S.Cache) {
+    CompileCache::Totals T = S.Cache->totals();
     Report.CacheHits = T.Hits;
     Report.CacheMisses = T.Misses;
     Report.CacheSavedNs = T.SavedNs;
     Report.DiskHits = T.DiskHits;
     Report.DiskMisses = T.DiskMisses;
   }
-  // The disk level only opens when a cache directory is actually
-  // configured (flag or WISP_CACHE_DIR) and the gate is on; mirror that
-  // so the summary prints "disabled" instead of a misleading 0/0.
-  const char *EnvDir = getenv("WISP_CACHE_DIR");
-  Report.DiskEnabled = Opts.DiskCache && SharedCache &&
-                       (!Opts.CacheDir.empty() || (EnvDir && *EnvDir));
   return Report;
 }
 
@@ -598,11 +155,7 @@ void printBatchReport(FILE *Out, const std::vector<BatchJob> &Jobs,
       fprintf(Out, " trap: %s", trapReasonName(R.Trap));
       ++Trapped; // A trap is a result, not an infrastructure failure.
     } else {
-      fprintf(Out, " = ");
-      if (R.Results.empty())
-        fprintf(Out, "<void>");
-      for (size_t V = 0; V < R.Results.size(); ++V)
-        fprintf(Out, "%s%s", V ? ", " : "", valueText(R.Results[V]).c_str());
+      fprintf(Out, " = %s", resultsText(R.Results).c_str());
     }
     fprintf(Out, " cycles=%llu", (unsigned long long)R.ModeledCycles);
     if (Stats)

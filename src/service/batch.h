@@ -5,19 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The first scale-out layer of wisp: a thread-pool service that loads and
-/// runs many modules concurrently, one private Engine per worker job. The
-/// paper's methodology measures one module at a time in a fresh VM; a
-/// serving system does the same work N jobs at a time across K workers,
-/// which is exactly the runtime-compilation regime where baseline-compiler
-/// speed dominates. Jobs come from a manifest (one job per line: a module
-/// spec plus per-job tier/config/invoke/scale overrides), flow through a
-/// bounded work queue, and produce a deterministic report: per-job results
-/// in manifest order, independent of worker count and scheduling.
-///
-/// Every future serving feature (compile-cache sharing, sharding, async
-/// I/O) plugs into this worker-pool seam; see DESIGN.md "The batch
-/// service" and the engine thread-safety contract in engine/engine.h.
+/// The batch front end of the service job runtime (service/runtime.h): a
+/// manifest (one job per line: a module spec plus per-job
+/// tier/config/invoke/scale overrides) is parsed and resolved up front,
+/// its jobs run across a worker pool on a fresh Engine each, the paper's
+/// fresh-VM-per-item methodology, and the report lists per-job results in
+/// manifest order, independent of worker count and scheduling. Serve mode
+/// (service/serve.h) is the other front end over the same runtime; see
+/// DESIGN.md "The job runtime" and the engine thread-safety contract in
+/// engine/engine.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,10 +80,11 @@ struct BatchReport {
   bool CacheEnabled = false;
   /// Aggregate on-disk artifact-cache counters (cache/diskcache.h),
   /// summed like the in-process split above: disk hits are artifacts
-  /// admitted from a previous process's store instead of built. Only
-  /// meaningful when a cache directory was configured.
+  /// admitted from a previous process's store instead of built.
   uint64_t DiskHits = 0;
   uint64_t DiskMisses = 0;
+  /// A job engine opened the disk level (Engine::disk()); false when no
+  /// directory was configured or none could be opened.
   bool DiskEnabled = false;
   /// Aggregate instance-pool counters summed over the per-worker pools.
   /// NOT deterministic across worker counts (which jobs land on which
@@ -138,9 +135,9 @@ struct BatchOptions {
 bool parseBatchManifest(const std::string &Text,
                         std::vector<BatchJob> *Out, std::string *Err);
 
-/// Resolves every job's module spec to bytes (file, "nop", or embedded
-/// suite item at the job's scale/m0). Returns false and a diagnostic on
-/// the first unresolvable spec.
+/// Resolves every job's module spec to bytes (regular file, "nop", or
+/// embedded suite item at the job's scale/m0). Returns false and a
+/// line-numbered diagnostic on the first unresolvable spec.
 bool resolveBatchModules(std::vector<BatchJob> *Jobs, std::string *Err);
 
 /// Runs \p Jobs per \p Opts. Each worker pulls job indexes from a bounded
@@ -172,9 +169,17 @@ bool parseValueText(const std::string &Text, ValType Ty, Value *Out);
 /// Renders \p V the way the CLI prints results ("252:i32").
 std::string valueText(Value V);
 
-/// Resolves a module spec the way the wisp CLI does: an on-disk file wins,
+/// The call step every job shares with the CLI: looks up export \p Invoke
+/// in \p LM and parses \p RawArgs against its signature into \p Args.
+/// Returns false with a diagnostic in \p Err (no such export, arity
+/// mismatch, unparsable argument).
+bool bindCall(LoadedModule &LM, const std::string &Invoke,
+              const std::vector<std::string> &RawArgs,
+              std::vector<Value> *Args, std::string *Err);
+
+/// Resolves one module spec the way every job does: a regular file wins,
 /// then "nop", then "suite/item" (or a bare item name if unambiguous).
-/// On ambiguity prints nothing; returns false with \p Err describing why.
+/// Prints nothing; returns false with \p Err describing why.
 bool resolveModuleSpec(const std::string &Spec, int Scale, bool UseM0,
                        std::vector<uint8_t> *Out, std::string *Err);
 

@@ -1,4 +1,4 @@
-//===- service/serve.cpp - persistent service mode --------------------------===//
+//===- service/serve.cpp - serve front end ----------------------------------===//
 //
 // Part of the wisp project, under the Apache License v2.0.
 //
@@ -6,25 +6,13 @@
 
 #include "service/serve.h"
 
-#include "analysis/analysis.h"
-#include "engine/registry.h"
+#include "service/runtime.h"
 #include "support/clock.h"
 #include "support/format.h"
-#include "wasm/reader.h"
-#include "wasm/validator.h"
 
-#include <cctype>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
 
 namespace wisp {
 
@@ -33,284 +21,8 @@ namespace {
 /// One admitted job flowing reader -> queue -> worker.
 struct ServeJob {
   BatchJob Job;
-  uint64_t Seq = 0;      ///< Acceptance order; indexes ServeStats latencies.
-  double EnqueueMs = 0;  ///< Admission timestamp; latency is done - this.
-};
-
-/// The admission queue. Unlike the batch runner's queue, the submission
-/// side never blocks: tryPush() fails on a full queue and the reader sheds
-/// the job with a reject line. Workers block on pop() until close().
-class ServeQueue {
-public:
-  explicit ServeQueue(size_t Cap) : Cap(Cap ? Cap : 1) {}
-
-  bool tryPush(ServeJob J) {
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      if (Closed || Q.size() >= Cap)
-        return false;
-      Q.push_back(std::move(J));
-    }
-    NotEmpty.notify_one();
-    return true;
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> L(Mu);
-    Closed = true;
-    NotEmpty.notify_all();
-  }
-
-  bool pop(ServeJob *Out) {
-    std::unique_lock<std::mutex> L(Mu);
-    NotEmpty.wait(L, [&] { return !Q.empty() || Closed; });
-    if (Q.empty())
-      return false;
-    *Out = std::move(Q.front());
-    Q.pop_front();
-    return true;
-  }
-
-private:
-  std::mutex Mu;
-  std::condition_variable NotEmpty;
-  std::deque<ServeJob> Q;
-  size_t Cap;
-  bool Closed = false;
-};
-
-/// Resolved-module cache shared by the workers: suite generation
-/// materializes a whole suite per call, so each distinct
-/// (module, scale, m0) spec resolves once per session and every repeat is
-/// a map lookup. Bytes are handed out through shared ownership — an entry
-/// may be evicted-by-nothing (the cache only grows; specs are few) while
-/// a worker still loads from it.
-class ModuleCache {
-public:
-  bool resolve(const BatchJob &Job, std::shared_ptr<std::vector<uint8_t>> *Out,
-               std::string *Err) {
-    std::string Key =
-        strFormat("%s\x1f%d\x1f%d", Job.Module.c_str(), Job.Scale,
-                  int(Job.UseM0));
-    std::lock_guard<std::mutex> L(Mu);
-    auto It = Map.find(Key);
-    if (It != Map.end()) {
-      *Out = It->second;
-      return true;
-    }
-    auto Bytes = std::make_shared<std::vector<uint8_t>>();
-    if (!resolveModuleSpec(Job.Module, Job.Scale, Job.UseM0, Bytes.get(),
-                           Err))
-      return false;
-    Map.emplace(std::move(Key), Bytes);
-    *Out = std::move(Bytes);
-    return true;
-  }
-
-private:
-  std::mutex Mu;
-  std::map<std::string, std::shared_ptr<std::vector<uint8_t>>> Map;
-};
-
-/// Deterministic per-worker fault plan for one job.
-struct FaultPlan {
-  uint64_t TinyFuel = 0;   ///< Non-zero: override the job's fuel budget.
-  int64_t MemFault = -1;   ///< >= 0: arm the allocation-failure countdown.
-  int CancelAfterUs = -1;  ///< >= 0: concurrent cancel() after this delay.
-  bool any() const {
-    return TinyFuel || MemFault >= 0 || CancelAfterUs >= 0;
-  }
-};
-
-/// Everything one worker keeps warm across its jobs.
-struct ServeWorker {
-  /// Warm engines, one per configuration this worker has served. Each is
-  /// constructed governed (Interruptible set) so fuel/deadline check
-  /// sites are compiled into every artifact it ever produces; per-job
-  /// budgets then only flip Engine::setGovernance.
-  std::map<std::string, std::unique_ptr<Engine>> Engines;
-  InstancePool Pool;
-  uint64_t Lcg = 0; ///< Fault-injection stream; 0 = injection off.
-};
-
-uint64_t lcgNext(uint64_t &X) {
-  X = X * 6364136223846793005ULL + 1442695040888963407ULL;
-  return X >> 16;
-}
-
-FaultPlan planFaults(ServeWorker &W) {
-  FaultPlan P;
-  if (!W.Lcg)
-    return P;
-  uint64_t R = lcgNext(W.Lcg);
-  switch (R % 8) {
-  case 0: // Tiny fuel budget: the job almost certainly exhausts.
-    P.TinyFuel = 1 + (lcgNext(W.Lcg) % 16);
-    break;
-  case 1: // Allocation failure soon: load or grow must fail cleanly.
-    P.MemFault = int64_t(lcgNext(W.Lcg) % 4);
-    break;
-  case 2: // Concurrent cancellation racing the invoke.
-    P.CancelAfterUs = int(lcgNext(W.Lcg) % 2500);
-    break;
-  default:
-    break;
-  }
-  return P;
-}
-
-/// The serve analogue of the batch runner's runOneJob, against warm
-/// state: same load/lookup/parse/invoke/recycle sequence, but the engine,
-/// compile cache and instance pool outlive the job. Returns the body of
-/// the done line (everything after "done <id> ").
-std::string runServeJob(ServeWorker &W, const ServeOptions &Opts,
-                        CompileCache &Cache, ModuleCache &Modules,
-                        const BatchJob &Job, bool *Trapped, bool *Errored,
-                        uint64_t *Faults) {
-  std::string Err;
-  std::shared_ptr<std::vector<uint8_t>> Bytes;
-  if (!Modules.resolve(Job, &Bytes, &Err)) {
-    *Errored = true;
-    return strFormat("error: %s", Err.c_str());
-  }
-
-  std::unique_ptr<Engine> &Slot = W.Engines[Job.Config];
-  if (!Slot) {
-    EngineConfig Cfg = configByName(Job.Config);
-    Cfg.UseCompileCache = true;
-    Cfg.PoolInstances = true;
-    Cfg.DiskCacheDir = Opts.CacheDir;
-    Cfg.UseDiskCache = Opts.DiskCache;
-    // Governed from birth: check-site emission is a construction-time
-    // decision (see Engine::setGovernance), and a serve engine must be
-    // able to meter any later job.
-    Cfg.Interruptible = true;
-    Cfg.MaxCallDepth = Opts.MaxCallDepth;
-    Cfg.MaxMemoryPages = Opts.MaxMemoryPages;
-    Cfg.MaxTableElems = Opts.MaxTableElems;
-    Slot = std::make_unique<Engine>(Cfg, &Cache, &W.Pool);
-    installGcHostFuncs(*Slot);
-  }
-  Engine &E = *Slot;
-
-  uint64_t Fuel = Job.Fuel ? Job.Fuel : Opts.DefaultFuel;
-  uint32_t DeadlineMs = Job.DeadlineMs ? Job.DeadlineMs
-                                       : Opts.DefaultDeadlineMs;
-  FaultPlan Plan = planFaults(W);
-  if (Plan.any())
-    ++*Faults;
-  if (Plan.TinyFuel)
-    Fuel = Plan.TinyFuel;
-  E.setGovernance(Fuel, DeadlineMs);
-  // The countdown is process-global, so an armed fault may land on a
-  // neighbouring worker's allocation instead of this job's — fine for a
-  // stress harness: whoever draws it must fail cleanly and still report.
-  if (Plan.MemFault >= 0)
-    setMemoryFaultCountdown(Plan.MemFault);
-
-  std::string Body;
-  WasmError LoadErr;
-  std::unique_ptr<LoadedModule> LM = E.load(*Bytes, &LoadErr);
-  if (!LM) {
-    *Errored = true;
-    Body = strFormat("error: load failed: %s", LoadErr.Message.c_str());
-  } else if (FuncInstance *F = LM->Inst->findExportedFunc(Job.Invoke)) {
-    const std::vector<ValType> &Params = F->Type->Params;
-    if (Job.RawArgs.size() != Params.size()) {
-      *Errored = true;
-      Body = strFormat("error: '%s' takes %zu argument(s), got %zu",
-                       Job.Invoke.c_str(), Params.size(), Job.RawArgs.size());
-    } else {
-      std::vector<Value> Args;
-      bool ArgsOk = true;
-      for (size_t I = 0; I < Params.size() && ArgsOk; ++I) {
-        Value V;
-        if (parseValueText(Job.RawArgs[I], Params[I], &V)) {
-          Args.push_back(V);
-        } else {
-          *Errored = true;
-          ArgsOk = false;
-          Body = strFormat("error: cannot parse argument %zu '%s' as %s",
-                           I + 1, Job.RawArgs[I].c_str(),
-                           valTypeName(Params[I]));
-        }
-      }
-      if (ArgsOk) {
-        // The cancellation fault races a real cancel() against the
-        // invoke, exactly like an operator killing a stuck job; joined
-        // before the result line so reporting stays exactly-once.
-        std::thread Canceller;
-        if (Plan.CancelAfterUs >= 0)
-          Canceller = std::thread([&E, Us = Plan.CancelAfterUs] {
-            std::this_thread::sleep_for(std::chrono::microseconds(Us));
-            E.cancel();
-          });
-        std::vector<Value> Results;
-        TrapReason Trap = E.invoke(*LM, Job.Invoke, Args, &Results);
-        if (Canceller.joinable())
-          Canceller.join();
-        if (Trap != TrapReason::None) {
-          *Trapped = true;
-          Body = strFormat("trap: %s", trapReasonName(Trap));
-        } else {
-          Body = "= ";
-          if (Results.empty())
-            Body += "<void>";
-          for (size_t V = 0; V < Results.size(); ++V) {
-            if (V)
-              Body += ", ";
-            Body += valueText(Results[V]);
-          }
-        }
-      }
-    }
-  } else {
-    *Errored = true;
-    Body = strFormat("error: no exported function '%s'", Job.Invoke.c_str());
-  }
-  if (Plan.MemFault >= 0)
-    setMemoryFaultCountdown(-1); // Bound the blast radius to ~this job.
-  if (LM)
-    E.recycle(std::move(LM));
-  return Body;
-}
-
-/// Reader-thread admission precheck: decides once per distinct
-/// (module spec, invoke) whether the job's static bounds prove it cannot
-/// complete under the session caps, and memoizes the decision so repeat
-/// jobs — the steady state of a serve session — cost one map lookup. A
-/// spec that fails to resolve/decode/validate is NOT rejected here: the
-/// worker path owns those error reports.
-class StaticPrecheck {
-public:
-  bool reject(const BatchJob &Job, ModuleCache &Modules,
-              const ServeOptions &Opts, std::string *Reason) {
-    std::string Key =
-        strFormat("%s\x1f%d\x1f%d\x1f%s", Job.Module.c_str(), Job.Scale,
-                  int(Job.UseM0), Job.Invoke.c_str());
-    auto It = Memo.find(Key);
-    if (It == Memo.end()) {
-      std::pair<bool, std::string> Decision{false, std::string()};
-      std::shared_ptr<std::vector<uint8_t>> Bytes;
-      std::string Err;
-      if (Modules.resolve(Job, &Bytes, &Err)) {
-        WasmError WErr;
-        std::unique_ptr<Module> M = decodeModule(*Bytes, &WErr);
-        if (M && validateModule(*M, &WErr)) {
-          ModuleAnalysis A = analyzeModule(*M);
-          Decision.first = staticBoundsReject(
-              *M, A, Job.Invoke, Opts.MaxCallDepth, Opts.MaxMemoryPages,
-              Opts.MaxTableElems, &Decision.second);
-        }
-      }
-      It = Memo.emplace(std::move(Key), std::move(Decision)).first;
-    }
-    *Reason = It->second.second;
-    return It->second.first;
-  }
-
-private:
-  std::map<std::string, std::pair<bool, std::string>> Memo;
+  uint64_t Seq = 0;     ///< Acceptance order; indexes ServeStats latencies.
+  double EnqueueMs = 0; ///< Admission timestamp; latency is done - this.
 };
 
 /// SIGTERM/SIGINT flag for CLI serve mode. The handlers are installed
@@ -319,23 +31,6 @@ private:
 volatile sig_atomic_t GServeStop = 0;
 
 void serveStopHandler(int) { GServeStop = 1; }
-
-/// True if the job line spells an explicit id= key (as opposed to the
-/// parser's per-line default of "0", which serve replaces with the
-/// session-wide acceptance sequence).
-bool lineHasExplicitId(const std::string &Line) {
-  size_t I = 0;
-  while (I < Line.size()) {
-    while (I < Line.size() && isspace(uint8_t(Line[I])))
-      ++I;
-    size_t Start = I;
-    while (I < Line.size() && !isspace(uint8_t(Line[I])))
-      ++I;
-    if (I - Start > 3 && Line.compare(Start, 3, "id=") == 0)
-      return true;
-  }
-  return false;
-}
 
 } // namespace
 
@@ -357,44 +52,49 @@ ServeStats runServe(FILE *In, FILE *Out, const ServeOptions &Opts) {
     sigaction(SIGINT, &SA, &OldInt);
   }
 
-  ServeQueue Queue(QueueCap);
   CompileCache Cache(CompileCache::configuredCapacityBytes());
-  ModuleCache Modules;
-  StaticPrecheck Precheck; // Reader-thread only; no lock needed.
-  std::mutex OutMu; // Guards Out, Stats counters and the latency vector.
+  RuntimeSettings S;
+  S.Policy = EnginePolicy::WarmPerConfig;
+  S.Cache = &Cache;
+  S.CacheDir = Opts.CacheDir;
+  S.DiskCache = Opts.DiskCache;
+  S.DefaultFuel = Opts.DefaultFuel;
+  S.DefaultDeadlineMs = Opts.DefaultDeadlineMs;
+  S.MaxCallDepth = Opts.MaxCallDepth;
+  S.MaxMemoryPages = Opts.MaxMemoryPages;
+  S.MaxTableElems = Opts.MaxTableElems;
+  S.FaultSeed = Opts.FaultSeed;
+  ModuleResolver Modules;
+  StaticPrecheck Precheck(Opts.MaxCallDepth, Opts.MaxMemoryPages,
+                          Opts.MaxTableElems); // Reader-thread only.
+  std::mutex OutMu; // Guards Out, Stats counters and the latency vectors.
 
-  std::vector<std::thread> Pool;
-  Pool.reserve(Workers);
-  for (unsigned WI = 0; WI < Workers; ++WI) {
-    Pool.emplace_back([&, WI] {
-      ServeWorker W;
-      if (Opts.FaultSeed)
-        W.Lcg = Opts.FaultSeed ^ (0x9e3779b97f4a7c15ULL * (WI + 1));
-      ServeJob SJ;
-      while (Queue.pop(&SJ)) {
-        double Pickup = nowMs();
-        bool Trapped = false, Errored = false;
-        uint64_t Faults = 0;
-        std::string Body = runServeJob(W, Opts, Cache, Modules, SJ.Job,
-                                       &Trapped, &Errored, &Faults);
-        double Done = nowMs();
-        double Latency = Done - SJ.EnqueueMs;
-        std::lock_guard<std::mutex> L(OutMu);
-        fprintf(Out, "done %s %s ms=%.3f\n", SJ.Job.Id.c_str(), Body.c_str(),
-                Latency);
-        fflush(Out);
-        if (Trapped)
-          ++Stats.Trapped;
-        else if (Errored)
-          ++Stats.Errors;
-        else
-          ++Stats.Done;
-        Stats.Faults += Faults;
-        Stats.LatenciesMs[SJ.Seq] = Latency;
-        Stats.ServiceMs[SJ.Seq] = Done - Pickup;
-      }
-    });
-  }
+  JobQueue<ServeJob> Queue(QueueCap);
+  WorkerPool<ServeJob> Pool(S, Workers, Queue, [&](Worker &W, ServeJob &SJ) {
+    double Pickup = nowMs();
+    BatchJobResult R;
+    if (ModuleBytes Bytes = Modules.resolve(SJ.Job.Module, SJ.Job.Scale,
+                                            SJ.Job.UseM0, &R.Error))
+      R = W.run(SJ.Job, *Bytes);
+    std::string Body = !R.Ok ? "error: " + R.Error
+                       : R.Trap != TrapReason::None
+                           ? strFormat("trap: %s", trapReasonName(R.Trap))
+                           : "= " + resultsText(R.Results);
+    double Done = nowMs();
+    double Latency = Done - SJ.EnqueueMs;
+    std::lock_guard<std::mutex> L(OutMu);
+    fprintf(Out, "done %s %s ms=%.3f\n", SJ.Job.Id.c_str(), Body.c_str(),
+            Latency);
+    fflush(Out);
+    if (!R.Ok)
+      ++Stats.Errors;
+    else if (R.Trap != TrapReason::None)
+      ++Stats.Trapped;
+    else
+      ++Stats.Done;
+    Stats.LatenciesMs[SJ.Seq] = Latency;
+    Stats.ServiceMs[SJ.Seq] = Done - Pickup;
+  });
 
   fprintf(Out, "# serve: ready, %u worker(s), queue cap %zu\n", Workers,
           QueueCap);
@@ -403,10 +103,7 @@ ServeStats runServe(FILE *In, FILE *Out, const ServeOptions &Opts) {
   std::string Line;
   Line.reserve(256);
   char Buf[4096];
-  bool Draining = false;
-  while (!Draining) {
-    if (Opts.InstallSignalHandlers && GServeStop)
-      break;
+  while (!(Opts.InstallSignalHandlers && GServeStop)) {
     Line.clear();
     bool Eof = false;
     for (;;) { // Assemble one full line (fgets may split long ones).
@@ -430,77 +127,66 @@ ServeStats runServe(FILE *In, FILE *Out, const ServeOptions &Opts) {
 
     // Control lines first — `shutdown` must work even though it is not a
     // resolvable module spec. Comments strip exactly like manifest lines.
-    std::string Trimmed = Line;
-    size_t Hash = Trimmed.find('#');
-    if (Hash != std::string::npos)
-      Trimmed.resize(Hash);
-    size_t NonWs = Trimmed.find_first_not_of(" \t\r");
-    Trimmed = NonWs == std::string::npos ? std::string() : Trimmed.substr(NonWs);
-    while (!Trimmed.empty() &&
-           (Trimmed.back() == ' ' || Trimmed.back() == '\t' ||
-            Trimmed.back() == '\r'))
-      Trimmed.pop_back();
-    if (Trimmed.empty())
+    std::vector<std::string> Toks = jobLineTokens(Line);
+    if (Toks.empty())
       continue; // Blank or comment-only line.
-    if (Trimmed == "shutdown") {
-      Draining = true;
+    if (Toks.size() == 1 && Toks[0] == "shutdown")
       break;
-    }
 
-    std::vector<BatchJob> Parsed;
+    // Each job line parses as a one-line manifest, so its diagnostics say
+    // "manifest line 1".
+    ServeJob SJ;
     std::string Err;
-    if (!parseBatchManifest(Line + "\n", &Parsed, &Err)) {
+    if (!parseJobTokens(Toks, 1, &SJ.Job, &Err)) {
       std::lock_guard<std::mutex> L(OutMu);
       ++Stats.Rejected;
       fprintf(Out, "reject - parse: %s\n", Err.c_str());
       fflush(Out);
       continue;
     }
+    // A job without id= is named by its acceptance sequence number. Only
+    // this thread writes Stats.Accepted, so it reads it without the lock.
+    SJ.Seq = Stats.Accepted; // Tentative; rolled back on shed.
+    if (SJ.Job.Id.empty())
+      SJ.Job.Id = std::to_string(SJ.Seq);
     // Static admission precheck: a job that provably cannot complete
     // under the session caps is shed here — exactly-once, before it
-    // consumes a queue slot or a worker — mirroring the queue-full reject
-    // flow (same id assignment, Rejected counter, no Accepted bump).
-    if (Opts.StaticPrecheck) {
-      std::string Reason;
-      if (Precheck.reject(Parsed[0], Modules, Opts, &Reason)) {
-        std::lock_guard<std::mutex> L(OutMu);
-        std::string Id = lineHasExplicitId(Line)
-                             ? Parsed[0].Id
-                             : std::to_string(Stats.Accepted);
-        ++Stats.Rejected;
-        fprintf(Out, "reject %s static-bounds: %s\n", Id.c_str(),
-                Reason.c_str());
-        fflush(Out);
-        continue;
-      }
-    }
-    ServeJob SJ;
-    SJ.Job = std::move(Parsed[0]);
-    {
+    // consumes a queue slot or a worker — like a queue-full reject (same
+    // id assignment, Rejected counter, no Accepted bump). A spec that
+    // does not resolve is left to the worker's error line.
+    std::string Reason;
+    ModuleBytes Bytes;
+    if (Opts.StaticPrecheck &&
+        (Bytes = Modules.resolve(SJ.Job.Module, SJ.Job.Scale, SJ.Job.UseM0,
+                                 &Err)) &&
+        Precheck.reject(SJ.Job, *Bytes, &Reason)) {
       std::lock_guard<std::mutex> L(OutMu);
-      SJ.Seq = Stats.Accepted; // Tentative; rolled back on shed.
-      if (!lineHasExplicitId(Line))
-        SJ.Job.Id = std::to_string(SJ.Seq);
-      SJ.EnqueueMs = nowMs();
-      std::string Id = SJ.Job.Id;
-      Stats.LatenciesMs.push_back(0);
-      Stats.ServiceMs.push_back(0);
-      if (Queue.tryPush(std::move(SJ))) {
-        ++Stats.Accepted;
-      } else {
-        Stats.LatenciesMs.pop_back();
-        Stats.ServiceMs.pop_back();
-        ++Stats.Rejected;
-        fprintf(Out, "reject %s queue-full\n", Id.c_str());
-        fflush(Out);
-      }
+      ++Stats.Rejected;
+      fprintf(Out, "reject %s static-bounds: %s\n", SJ.Job.Id.c_str(),
+              Reason.c_str());
+      fflush(Out);
+      continue;
+    }
+    std::lock_guard<std::mutex> L(OutMu);
+    SJ.EnqueueMs = nowMs();
+    std::string Id = SJ.Job.Id;
+    Stats.LatenciesMs.push_back(0);
+    Stats.ServiceMs.push_back(0);
+    if (Queue.tryPush(std::move(SJ))) {
+      ++Stats.Accepted;
+    } else {
+      Stats.LatenciesMs.pop_back();
+      Stats.ServiceMs.pop_back();
+      ++Stats.Rejected;
+      fprintf(Out, "reject %s queue-full\n", Id.c_str());
+      fflush(Out);
     }
   }
 
   // Drain: stop admission, let the workers finish every accepted job.
-  Queue.close();
-  for (std::thread &Th : Pool)
-    Th.join();
+  Pool.join();
+  for (const std::unique_ptr<Worker> &W : Pool.workers())
+    Stats.Faults += W->Faults;
 
   if (Opts.InstallSignalHandlers) {
     sigaction(SIGTERM, &OldTerm, nullptr);

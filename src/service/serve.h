@@ -5,15 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The persistent serving layer on top of the batch runner: `wisp --serve`
-/// reads jobs from stdin (one batch-manifest line per job, see
-/// service/batch.h) and answers each with exactly one protocol line on
-/// stdout, staying resident between jobs. Where the batch runner rebuilds
-/// an Engine per job, serve mode keeps the expensive state warm: one
-/// engine per (worker, configuration) — constructed governed so fuel and
-/// deadline check sites are baked into every compiled artifact — a
-/// serve-local compile cache shared by every worker, and a per-worker
-/// instance pool, so steady-state jobs pay invoke cost, not compile cost.
+/// The serve front end of the service job runtime (service/runtime.h):
+/// `wisp --serve` reads jobs from stdin (one batch-manifest line per job,
+/// see service/batch.h) and answers each with exactly one protocol line on
+/// stdout, staying resident between jobs. Where batch runs each job on a
+/// fresh Engine, serve keeps the expensive state warm: one engine per
+/// (worker, configuration) — constructed governed so fuel and deadline
+/// check sites are baked into every compiled artifact — a serve-local
+/// compile cache shared by every worker, and a per-worker instance pool,
+/// so steady-state jobs pay invoke cost, not compile cost.
 ///
 /// Admission is bounded: the reader thread never blocks on workers. When
 /// the job queue is full the job is shed with a structured reject line
@@ -68,7 +68,8 @@ struct ServeOptions {
   /// minima over the caps, or a guaranteed call depth over MaxCallDepth)
   /// is shed at admission with `reject <id> static-bounds: <reason>` —
   /// exactly-once, before it consumes a queue slot or a worker. Decisions
-  /// are memoized per (module spec, invoke). --no-static-precheck disables.
+  /// are memoized per (module, scale, m0, invoke). --no-static-precheck
+  /// disables.
   bool StaticPrecheck = true;
   /// Root of the persistent on-disk artifact cache shared by the session's
   /// warm engines (engine/engine.h DiskCacheDir). Empty defers to the

@@ -30,17 +30,19 @@
 #include "suites/suites.h"
 #include "cache/diskcache.h"
 #include "support/clock.h"
+#include "support/file.h"
+#include "support/format.h"
 #include "support/json.h"
 #include "support/parse.h"
 #include "verify/verifier.h"
 #include "wasm/reader.h"
 #include "wasm/validator.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -227,7 +229,7 @@ struct CliOptions {
   std::string Module;
   std::vector<std::string> Monitors;
   std::vector<std::string> RawArgs;
-  int Scale = 1;
+  uint64_t Scale = 0; ///< 0 = not given; main() then makes it 1.
   bool ScaleSet = false;
   bool UseM0 = false;
   bool Stats = false;
@@ -245,15 +247,33 @@ struct CliOptions {
   bool ListConfigs = false;
   std::string Batch; ///< --batch manifest path.
   bool Serve = false;
-  int Jobs = 1;
-  bool JobsSet = false;
-  long QueueCap = 0;
+  /// Numeric flags; 0 means not given.
+  uint64_t Jobs = 0;
+  uint64_t QueueCap = 0;
   /// Governance (single-module flags; serve-mode defaults/caps).
   uint64_t Fuel = 0;
-  uint32_t DeadlineMs = 0;
-  uint32_t MaxCallDepth = 0;
-  uint32_t MaxPages = 0;
-  uint32_t MaxTableElems = 0;
+  uint64_t DeadlineMs = 0;
+  uint64_t MaxCallDepth = 0;
+  uint64_t MaxPages = 0;
+  uint64_t MaxTableElems = 0;
+};
+
+/// A numeric flag and its inclusive range [1, Max].
+struct NumericFlag {
+  const char *Prefix;
+  uint64_t Max;
+  uint64_t CliOptions::*Field;
+};
+
+const NumericFlag NumericFlags[] = {
+    {"--scale=", 1u << 20, &CliOptions::Scale},
+    {"--jobs=", 1024, &CliOptions::Jobs},
+    {"--queue-cap=", 1u << 20, &CliOptions::QueueCap},
+    {"--fuel=", UINT64_MAX, &CliOptions::Fuel},
+    {"--deadline-ms=", 3600000, &CliOptions::DeadlineMs},
+    {"--max-call-depth=", 1000000, &CliOptions::MaxCallDepth},
+    {"--max-pages=", 65536, &CliOptions::MaxPages},
+    {"--max-table-elems=", UINT32_MAX, &CliOptions::MaxTableElems},
 };
 
 /// Analyze mode: instead of executing, run the whole-module static
@@ -265,7 +285,7 @@ struct CliOptions {
 int runAnalyzeMode(const CliOptions &Opt) {
   std::vector<uint8_t> Bytes;
   std::string ResolveErr;
-  if (!resolveModuleSpec(Opt.Module, Opt.Scale, Opt.UseM0, &Bytes,
+  if (!resolveModuleSpec(Opt.Module, int(Opt.Scale), Opt.UseM0, &Bytes,
                          &ResolveErr)) {
     fprintf(stderr, "wisp: %s (see --list)\n", ResolveErr.c_str());
     return 1;
@@ -307,7 +327,7 @@ int runAnalyzeMode(const CliOptions &Opt) {
 int runAuditMode(const CliOptions &Opt) {
   std::vector<uint8_t> Bytes;
   std::string ResolveErr;
-  if (!resolveModuleSpec(Opt.Module, Opt.Scale, Opt.UseM0, &Bytes,
+  if (!resolveModuleSpec(Opt.Module, int(Opt.Scale), Opt.UseM0, &Bytes,
                          &ResolveErr)) {
     fprintf(stderr, "wisp: %s (see --list)\n", ResolveErr.c_str());
     return 1;
@@ -465,13 +485,12 @@ int runAuditMode(const CliOptions &Opt) {
 /// Batch mode: parse + resolve the manifest, run it across the worker
 /// pool, print the deterministic report.
 int runBatchMode(const CliOptions &Opt) {
-  std::ifstream In(Opt.Batch, std::ios::binary);
-  if (!In) {
+  std::vector<uint8_t> Bytes;
+  if (!readFile(Opt.Batch, &Bytes)) {
     fprintf(stderr, "wisp: cannot read manifest '%s'\n", Opt.Batch.c_str());
     return 2;
   }
-  std::string Text((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
+  std::string Text(Bytes.begin(), Bytes.end());
   std::vector<BatchJob> Jobs;
   std::string Err;
   if (!parseBatchManifest(Text, &Jobs, &Err) ||
@@ -505,10 +524,10 @@ int runServeMode(const CliOptions &Opt) {
   SOpts.Workers = unsigned(Opt.Jobs);
   SOpts.QueueCap = size_t(Opt.QueueCap);
   SOpts.DefaultFuel = Opt.Fuel;
-  SOpts.DefaultDeadlineMs = Opt.DeadlineMs;
-  SOpts.MaxCallDepth = Opt.MaxCallDepth;
-  SOpts.MaxMemoryPages = Opt.MaxPages;
-  SOpts.MaxTableElems = Opt.MaxTableElems;
+  SOpts.DefaultDeadlineMs = uint32_t(Opt.DeadlineMs);
+  SOpts.MaxCallDepth = uint32_t(Opt.MaxCallDepth);
+  SOpts.MaxMemoryPages = uint32_t(Opt.MaxPages);
+  SOpts.MaxTableElems = uint32_t(Opt.MaxTableElems);
   SOpts.StaticPrecheck = !Opt.NoStaticPrecheck;
   SOpts.InstallSignalHandlers = true;
   SOpts.CacheDir = Opt.CacheDir;
@@ -536,7 +555,20 @@ int main(int argc, char **argv) {
       size_t N = strlen(Prefix);
       return A.compare(0, N, Prefix) == 0 ? A.c_str() + N : nullptr;
     };
-    if (const char *V = Val("--tier=")) {
+    // Every numeric flag parses strictly into [1, Max] (support/parse.h).
+    const NumericFlag *Num = nullptr;
+    for (const NumericFlag &F : NumericFlags)
+      if (Val(F.Prefix))
+        Num = &F;
+    if (Num) {
+      const char *V = Val(Num->Prefix);
+      if (!parseU64InRange(V, 1, Num->Max, &(Opt.*Num->Field)))
+        return usageError(
+            "%s", strFormat("bad %.*s value: %s (want 1..%llu)\n",
+                            int(strlen(Num->Prefix) - 1), Num->Prefix, V,
+                            (unsigned long long)Num->Max)
+                      .c_str());
+    } else if (const char *V = Val("--tier=")) {
       Opt.Tier = V;
       Opt.TierSet = true;
     } else if (const char *V = Val("--config=")) {
@@ -544,65 +576,10 @@ int main(int argc, char **argv) {
     } else if (const char *V = Val("--invoke=")) {
       Opt.Invoke = V;
       Opt.InvokeSet = true;
-    } else if (const char *V = Val("--scale=")) {
-      // Strict parse: atoi would accept "3x" as 3 and silently clamp
-      // overflow; any junk, sign, or out-of-range value is a usage error.
-      uint64_t Scale = 0;
-      Opt.ScaleSet = true;
-      if (!parseU64InRange(V, 1, 1u << 20, &Scale))
-        return usageError("bad --scale value: %s\n", V);
-      Opt.Scale = int(Scale);
     } else if (const char *V = Val("--batch=")) {
       Opt.Batch = V;
     } else if (A == "--serve") {
       Opt.Serve = true;
-    } else if (const char *V = Val("--queue-cap=")) {
-      char *End = nullptr;
-      long Cap = strtol(V, &End, 10);
-      if (End == V || *End || Cap < 1 || Cap > 1 << 20)
-        return usageError("bad --queue-cap value: %s (want 1..1048576)\n", V);
-      Opt.QueueCap = Cap;
-    } else if (const char *V = Val("--fuel=")) {
-      uint64_t Fuel = 0;
-      if (!parseU64(V, &Fuel) || Fuel == 0)
-        return usageError("bad --fuel value: %s (want a positive budget)\n",
-                          V);
-      Opt.Fuel = Fuel;
-    } else if (const char *V = Val("--deadline-ms=")) {
-      char *End = nullptr;
-      long Ms = strtol(V, &End, 10);
-      if (End == V || *End || Ms < 1 || Ms > 3600000)
-        return usageError("bad --deadline-ms value: %s (want 1..3600000)\n",
-                          V);
-      Opt.DeadlineMs = uint32_t(Ms);
-    } else if (const char *V = Val("--max-call-depth=")) {
-      char *End = nullptr;
-      long N = strtol(V, &End, 10);
-      if (End == V || *End || N < 1 || N > 1000000)
-        return usageError("bad --max-call-depth value: %s (want "
-                          "1..1000000)\n",
-                          V);
-      Opt.MaxCallDepth = uint32_t(N);
-    } else if (const char *V = Val("--max-pages=")) {
-      char *End = nullptr;
-      long N = strtol(V, &End, 10);
-      if (End == V || *End || N < 1 || N > 65536)
-        return usageError("bad --max-pages value: %s (want 1..65536)\n", V);
-      Opt.MaxPages = uint32_t(N);
-    } else if (const char *V = Val("--max-table-elems=")) {
-      char *End = nullptr;
-      long N = strtol(V, &End, 10);
-      if (End == V || *End || N < 1)
-        return usageError("bad --max-table-elems value: %s (want >= 1)\n",
-                          V);
-      Opt.MaxTableElems = uint32_t(N);
-    } else if (const char *V = Val("--jobs=")) {
-      char *End = nullptr;
-      long Jobs = strtol(V, &End, 10);
-      Opt.JobsSet = true;
-      if (End == V || *End || Jobs < 1 || Jobs > 1024)
-        return usageError("bad --jobs value: %s (want 1..1024)\n", V);
-      Opt.Jobs = int(Jobs);
     } else if (const char *V = Val("--monitor=")) {
       Opt.Monitors.push_back(V);
     } else if (A == "--m0") {
@@ -648,8 +625,10 @@ int main(int argc, char **argv) {
       Opt.RawArgs.push_back(A);
     }
   }
+  Opt.ScaleSet = Opt.Scale != 0;
+  Opt.Scale = std::max<uint64_t>(Opt.Scale, 1);
   if (Opt.List)
-    return listSuites(Opt.Scale);
+    return listSuites(int(Opt.Scale));
   if (Opt.ListConfigs)
     return listConfigs();
 
@@ -708,7 +687,7 @@ int main(int argc, char **argv) {
                         Conflict);
     return runServeMode(Opt);
   }
-  if (Opt.JobsSet)
+  if (Opt.Jobs)
     return usageError("%s", "--jobs requires --batch or --serve\n");
   if (Opt.QueueCap)
     return usageError("%s", "--queue-cap requires --serve\n");
@@ -796,15 +775,15 @@ int main(int argc, char **argv) {
   // Execution governance: metering/deadline/caps for this one invocation
   // (the engine bakes fuel check sites in when any of these is set).
   Cfg.FuelBudget = Opt.Fuel;
-  Cfg.DeadlineMs = Opt.DeadlineMs;
-  Cfg.MaxCallDepth = Opt.MaxCallDepth;
-  Cfg.MaxMemoryPages = Opt.MaxPages;
-  Cfg.MaxTableElems = Opt.MaxTableElems;
+  Cfg.DeadlineMs = uint32_t(Opt.DeadlineMs);
+  Cfg.MaxCallDepth = uint32_t(Opt.MaxCallDepth);
+  Cfg.MaxMemoryPages = uint32_t(Opt.MaxPages);
+  Cfg.MaxTableElems = uint32_t(Opt.MaxTableElems);
 
   // Resolve the module bytes.
   std::vector<uint8_t> Bytes;
   std::string ResolveErr;
-  if (!resolveModuleSpec(Opt.Module, Opt.Scale, Opt.UseM0, &Bytes,
+  if (!resolveModuleSpec(Opt.Module, int(Opt.Scale), Opt.UseM0, &Bytes,
                          &ResolveErr)) {
     fprintf(stderr, "wisp: %s (see --list)\n", ResolveErr.c_str());
     return 1;
@@ -853,27 +832,12 @@ int main(int argc, char **argv) {
   if (!Opt.Monitors.empty())
     E.reinstrument(*LM);
 
-  // Parse call arguments against the export's signature.
-  FuncInstance *F = LM->Inst->findExportedFunc(Opt.Invoke);
-  if (!F) {
-    fprintf(stderr, "wisp: no exported function '%s'\n", Opt.Invoke.c_str());
-    return 1;
-  }
-  const std::vector<ValType> &Params = F->Type->Params;
-  if (Opt.RawArgs.size() != Params.size()) {
-    fprintf(stderr, "wisp: '%s' takes %zu argument(s), got %zu\n",
-            Opt.Invoke.c_str(), Params.size(), Opt.RawArgs.size());
-    return 1;
-  }
+  // Bind the export and parse the call arguments against its signature.
   std::vector<Value> Args;
-  for (size_t I = 0; I < Params.size(); ++I) {
-    Value V;
-    if (!parseValueText(Opt.RawArgs[I], Params[I], &V)) {
-      fprintf(stderr, "wisp: cannot parse argument %zu '%s' as %s\n", I + 1,
-              Opt.RawArgs[I].c_str(), valTypeName(Params[I]));
-      return 1;
-    }
-    Args.push_back(V);
+  std::string BindErr;
+  if (!bindCall(*LM, Opt.Invoke, Opt.RawArgs, &Args, &BindErr)) {
+    fprintf(stderr, "wisp: %s\n", BindErr.c_str());
+    return 1;
   }
 
   // Invoke.

@@ -19,6 +19,7 @@
 #include "fuzz/differ.h"
 #include "fuzz/randwasm.h"
 #include "fuzz/shrink.h"
+#include "support/file.h"
 #include "wasm/reader.h"
 
 #include <algorithm>
@@ -197,13 +198,11 @@ int runCampaign(const FuzzOptions &Opt) {
 }
 
 int replayOne(const std::string &Path, unsigned *Divergences) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  std::vector<uint8_t> Bytes;
+  if (!readFile(Path, &Bytes)) {
     fprintf(stderr, "wisp-fuzz: cannot read %s\n", Path.c_str());
     return 2;
   }
-  std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),
-                             std::istreambuf_iterator<char>());
   WasmError Err;
   std::unique_ptr<Module> M = decodeModule(Bytes, &Err);
   if (!M) {

@@ -70,6 +70,20 @@ if(NOT REPORT8 STREQUAL REPORT_NOCACHE)
     "batch report differs between default and --no-compile-cache:\n"
     "--- default\n${REPORT8}\n--- no-compile-cache\n${REPORT_NOCACHE}")
 endif()
+# --- The '# disk:' summary reports what the job engines did: a cache
+# --- directory that cannot be created (its parent is a regular file)
+# --- opens no disk level, so the summary says disabled, not 0/0.
+set(NOT_A_DIR ${WISP_WORKDIR}/cli_batch_not_a_dir)
+file(WRITE ${NOT_A_DIR} "")
+run_batch(2 REPORT_NODISK RAW_NODISK --cache-dir=${NOT_A_DIR}/cache)
+file(REMOVE ${NOT_A_DIR})
+if(NOT RAW_NODISK MATCHES "# disk: disabled")
+  message(FATAL_ERROR
+    "unopenable --cache-dir summary does not say disabled:\n${RAW_NODISK}")
+endif()
+if(NOT REPORT1 STREQUAL REPORT_NODISK)
+  message(FATAL_ERROR "batch report differs with an unopenable --cache-dir")
+endif()
 string(REGEX MATCHALL "\\[[0-9]+\\]" JOBLINES "${REPORT1}")
 list(LENGTH JOBLINES NJOBS)
 if(NJOBS LESS 20)

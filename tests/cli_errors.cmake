@@ -214,6 +214,18 @@ expect_fail(bad-pages-zero "bad --max-pages value" --max-pages=0 nop)
 expect_fail(bad-pages-huge "bad --max-pages value" --max-pages=65537 nop)
 expect_fail(bad-table-elems "bad --max-table-elems value"
             --max-table-elems=0 nop)
+# 2^32 used to truncate to 0, which means no cap at all.
+expect_fail(bad-table-elems-wrap "bad --max-table-elems value"
+            --max-table-elems=4294967296 nop)
+# Every numeric flag goes through the one strict parser: no sign. The
+# --jobs/--queue-cap cases are rejected while parsing, before any worker
+# starts.
+expect_fail(bad-queue-cap-sign "bad --queue-cap value" --queue-cap=+5)
+expect_fail(bad-deadline-sign "bad --deadline-ms value" --deadline-ms=+5 nop)
+expect_fail(bad-depth-sign "bad --max-call-depth value"
+            --max-call-depth=+5 nop)
+expect_fail(bad-pages-sign "bad --max-pages value" --max-pages=+5 nop)
+expect_fail(bad-jobs-sign "bad --jobs value" --batch=m.txt --jobs=+5)
 expect_fail(bad-queue-cap "bad --queue-cap value" --queue-cap=0)
 expect_fail(queue-cap-without-serve "--queue-cap requires --serve"
             --queue-cap=8 nop)
@@ -286,6 +298,10 @@ endif()
 # --- Module and export resolution ---
 expect_fail(no-module "no module given" --tier=spc)
 expect_fail(missing-module "cannot resolve module" /no/such/file.wasm)
+# A directory is not a module or a manifest; reading one used to abort.
+get_filename_component(HERE ${CMAKE_SCRIPT_MODE_FILE} DIRECTORY)
+expect_fail(directory-module "cannot resolve module" ${HERE})
+expect_fail(directory-manifest "cannot read manifest" --batch=${HERE})
 expect_fail(unknown-export "no exported function" --invoke=nonesuch nop)
 
 # --- Out-of-range argument parsing, against the corpus gcd reproducer's
@@ -318,7 +334,6 @@ endif()
 # --- Hostile module: a br_table count of 0xffffffff in a 42-byte module is
 # --- a load error (exit 1 with a diagnostic), never an abort. A signal
 # --- shows up as a non-numeric RESULT_VARIABLE, which fails EQUAL 1.
-get_filename_component(HERE ${CMAKE_SCRIPT_MODE_FILE} DIRECTORY)
 set(HUGE_BRTABLE ${HERE}/data/brtable-huge-count.wasm)
 expect_fail(brtable-huge-count "load failed: .*br_table.*exceeds"
             ${HUGE_BRTABLE})

@@ -146,5 +146,28 @@ if(NOT OUT_HOSTILE MATCHES "# serve: drained, 3 accepted, 0 rejected")
   message(FATAL_ERROR "hostile module: summary mismatch: ${OUT_HOSTILE}")
 endif()
 
-file(REMOVE ${SERVE_IN} ${SERVE_IN2} ${SERVE_IN3} ${MANIFEST})
+# --- A directory or a device is not a module: each job line naming one
+# --- gets exactly one error line, and the daemon drains cleanly. Both
+# --- used to abort the process (a directory throws from a stream read;
+# --- /dev/zero reads without bound).
+set(SERVE_IN4 ${WISP_WORKDIR}/cli_serve_in4.txt)
+file(WRITE ${SERVE_IN4}
+  ". tier=spc\n"
+  "/dev/zero tier=spc\n"
+  "nop tier=spc id=after\n"
+  "shutdown\n")
+run_serve(OUT_NONREG ${SERVE_IN4})
+foreach(id 0 1)
+  string(REGEX MATCHALL "done ${id} error: [^\n]*" LINES "${OUT_NONREG}")
+  list(LENGTH LINES N)
+  if(NOT N EQUAL 1)
+    message(FATAL_ERROR "non-regular module: expected one error line for job ${id}: ${OUT_NONREG}")
+  endif()
+endforeach()
+if(NOT OUT_NONREG MATCHES "done after = <void>" OR
+   NOT OUT_NONREG MATCHES "# serve: drained, 3 accepted, 0 rejected, 1 done, 0 trapped, 2 errors")
+  message(FATAL_ERROR "non-regular module: session did not drain cleanly: ${OUT_NONREG}")
+endif()
+
+file(REMOVE ${SERVE_IN} ${SERVE_IN2} ${SERVE_IN3} ${SERVE_IN4} ${MANIFEST})
 message(STATUS "cli_serve: static admission precheck verified end to end")

@@ -9,7 +9,8 @@
 // greedy shrinker (a planted divergence must survive minimization and the
 // result must be at most 25% of the original module size), and hostile
 // input: deterministic byte mutants of the committed .wasm seeds must be
-// rejected with a diagnostic or load, analyze and verify cleanly.
+// rejected with a diagnostic or load, analyze and verify cleanly, and byte
+// mutants of manifest lines must parse to jobs or a diagnostic.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include "fuzz/randwasm.h"
 #include "fuzz/shrink.h"
 #include "interp/predecode.h"
+#include "service/runtime.h"
 #include "support/leb128.h"
 #include "testutil.h"
 #include "verify/verifier.h"
@@ -683,6 +685,60 @@ TEST(HostileInput, MutantsRejectWithDiagnosticOrVerifyClean) {
       return;
   }
   EXPECT_GE(Mutants, Seeds.size() * 10000);
+}
+
+// Manifest and serve lines are outside input too. Deterministic byte
+// mutants of the cli_batch manifest's line shapes (plus every other key)
+// go through the manifest parser; each must yield a line-numbered
+// diagnostic or jobs, and every job must pass the shared module resolver
+// and static precheck without a crash.
+TEST(HostileInput, ManifestLineMutantsDiagnoseOrRun) {
+  static const char *Lines[] = {
+      "# cli_batch determinism manifest",
+      "polybench/2mm tier=spc",
+      "ostrich/crc tier=threaded",
+      "libsodium/stream_chacha20 config=wizard-tiered",
+      "nop",
+      "ostrich/crc tier=int scale=2 m0 invoke=run id=j7 fuel=100000 "
+      "deadline-ms=5000",
+      "nop args=1,2 # trailing comment",
+  };
+  ModuleResolver Modules;
+  StaticPrecheck Precheck(64, 16, 1024);
+  Rng R(0x3a41f);
+  size_t Diagnosed = 0, Jobs = 0;
+  for (const char *Line : Lines) {
+    for (unsigned K = 0; K < 1500; ++K) {
+      std::vector<uint8_t> B(Line, Line + strlen(Line));
+      for (uint64_t M = 0, N = 1 + R.below(3); M < N; ++M)
+        mutateBytes(B, R);
+      std::string Text(B.begin(), B.end());
+      std::string What = "mutant " + std::to_string(K) + " of '" + Line + "'";
+      std::vector<BatchJob> Parsed;
+      std::string Err;
+      if (!parseBatchManifest(Text, &Parsed, &Err)) {
+        EXPECT_TRUE(Err.rfind("manifest line ", 0) == 0 ||
+                    Err == "manifest contains no jobs")
+            << What << ": " << Err;
+        ++Diagnosed;
+        continue;
+      }
+      for (const BatchJob &Job : Parsed) {
+        EXPECT_FALSE(Job.Module.empty()) << What;
+        EXPECT_TRUE(Job.Scale >= 1 && Job.Scale <= (1 << 20)) << What;
+        ModuleBytes Bytes =
+            Modules.resolve(Job.Module, Job.Scale, Job.UseM0, &Err);
+        std::string Reason;
+        if (Bytes)
+          Precheck.reject(Job, *Bytes, &Reason);
+        else
+          EXPECT_FALSE(Err.empty()) << What;
+        ++Jobs;
+      }
+    }
+  }
+  EXPECT_GT(Diagnosed, 0u);
+  EXPECT_GT(Jobs, 0u);
 }
 
 } // namespace

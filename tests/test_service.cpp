@@ -69,6 +69,19 @@ TEST(Manifest, RejectsMalformedLines) {
   EXPECT_NE(Err.find("bad scale"), std::string::npos) << Err;
   EXPECT_FALSE(parseBatchManifest("nop scale=abc\n", &Jobs, &Err));
   EXPECT_NE(Err.find("bad scale"), std::string::npos) << Err;
+  // Numeric keys take the CLI flags' strict parser and bounds: no sign,
+  // and no scale an int would wrap into a different workload.
+  for (const char *Line :
+       {"nop scale=2147483648\n", "nop scale=4294967296\n",
+        "nop scale=1048577\n", "nop scale=+5\n"}) {
+    EXPECT_FALSE(parseBatchManifest(Line, &Jobs, &Err)) << Line;
+    EXPECT_NE(Err.find("bad scale"), std::string::npos) << Err;
+  }
+  EXPECT_FALSE(parseBatchManifest("nop deadline-ms=+5\n", &Jobs, &Err));
+  EXPECT_NE(Err.find("bad deadline-ms"), std::string::npos) << Err;
+  EXPECT_FALSE(parseBatchManifest("nop fuel=+5\n", &Jobs, &Err));
+  EXPECT_NE(Err.find("bad fuel"), std::string::npos) << Err;
+  EXPECT_TRUE(parseBatchManifest("nop scale=1048576\n", &Jobs, &Err)) << Err;
 
   EXPECT_FALSE(parseBatchManifest("nop tier=warp\n", &Jobs, &Err));
   EXPECT_NE(Err.find("unknown tier"), std::string::npos) << Err;
@@ -382,6 +395,23 @@ TEST(Serve, RejectsMalformedLinesAndStopsAtShutdown) {
   EXPECT_NE(R.lines("reject - parse: ")[1].find("bad fuel"),
             std::string::npos);
   EXPECT_EQ(R.lines("done ").size(), 1u);
+}
+
+TEST(Serve, DefaultIdsComeFromTheParsedKeys) {
+  // A line without an id= key is named by its acceptance sequence number;
+  // "id=" inside a comment or as the module token is not an id= key.
+  ServeOptions Opts;
+  ServeRun R = serveOn("nop\n"
+                       "nop # id=x\n"
+                       "id=y\n"
+                       "nop id=z\n",
+                       Opts);
+  EXPECT_EQ(R.lines("done 0 ").size(), 1u) << R.Out;
+  EXPECT_EQ(R.lines("done 1 ").size(), 1u) << R.Out;
+  ASSERT_EQ(R.lines("done 2 ").size(), 1u) << R.Out;
+  EXPECT_NE(R.lines("done 2 ")[0].find("cannot resolve module 'id=y'"),
+            std::string::npos);
+  EXPECT_EQ(R.lines("done z ").size(), 1u) << R.Out;
 }
 
 TEST(Serve, HonorsPerJobFuelAndSessionDefaults) {
