@@ -12,9 +12,14 @@
 // pre-decode translation time (LoadStats::PredecodeNs) back in, keeping the
 // fig. 7/8 methodology honest about what the threaded tier pays up front.
 //
+// Exits 1 unless every suite's geomean main-loop reduction meets the
+// acceptance bar (MinSuiteReduction). Modeled cycles are exact, so the
+// check does not depend on the host.
+//
 //===----------------------------------------------------------------------===//
 
 #include "benchutil.h"
+#include "support/format.h"
 
 using namespace wisp;
 using namespace wisp::bench;
@@ -24,6 +29,10 @@ using namespace wisp::bench;
 static double totalCost(const ItemRun &R) {
   return R.SetupMs + R.MainCycles / 1e6;
 }
+
+// The threaded tier's acceptance bar: geomean modeled main-loop reduction
+// against the switch interpreter, required of every fig. 7 suite.
+static constexpr double MinSuiteReduction = 0.25;
 
 int main() {
   jsonBench("bench_dispatch");
@@ -42,6 +51,7 @@ int main() {
 
   std::vector<double> AllRatios;
   std::vector<double> AllTotalRatios;
+  std::string BelowBar;
   for (int S = 0; S < 3; ++S) {
     printf("\n--- %s ---\n", SuiteNames[S]);
     printf("  %-16s %14s %14s %7s %11s\n", "item", "switch cyc", "threaded cyc",
@@ -81,6 +91,9 @@ int main() {
            100.0 * (1.0 - St.Geomean), 100.0 * (1.0 - StTotal.Geomean));
     jsonRecord("interp-threaded", SuiteNames[S], "geomean_cycle_ratio",
                St.Geomean);
+    if (Ratios.empty() || 1.0 - St.Geomean < MinSuiteReduction)
+      BelowBar += strFormat(" %s (%.1f%%)", SuiteNames[S],
+                            Ratios.empty() ? 0.0 : 100.0 * (1.0 - St.Geomean));
     jsonRecord("interp-threaded", SuiteNames[S], "geomean_total_ratio",
                StTotal.Geomean);
     AllRatios.insert(AllRatios.end(), Ratios.begin(), Ratios.end());
@@ -102,7 +115,16 @@ int main() {
   printf("\nExpected shape: pre-decoded immediates + computed-goto cut the\n"
          "per-step price 22 -> 16 modeled cycles (~27%%), and fusion of\n"
          "get/get/op, get/const/op, cmp/br_if and set/get chains removes\n"
-         "further dispatches; the acceptance bar is a >=25%% geomean\n"
-         "main-loop reduction on every fig. 7 suite.\n");
+         "further dispatches; the acceptance bar is a >=%.0f%% geomean\n"
+         "main-loop reduction on every fig. 7 suite.\n",
+         100.0 * MinSuiteReduction);
+  if (!BelowBar.empty()) {
+    fprintf(stderr, "\nShape check: below the %.0f%% bar:%s: FAILED\n",
+            100.0 * MinSuiteReduction, BelowBar.c_str());
+    return 1;
+  }
+  fprintf(stderr, "\nShape check: every suite at or above the %.0f%% bar: "
+                  "ok\n",
+          100.0 * MinSuiteReduction);
   return 0;
 }

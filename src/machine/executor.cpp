@@ -3,6 +3,20 @@
 // Part of the wisp project, under the Apache License v2.0.
 //
 //===----------------------------------------------------------------------===//
+//
+// Runs compiled MCode for all four compilers. Dispatch is token-threaded
+// like the threaded interpreter's (support/dispatch.h): the pc is a
+// pointer into the instruction array, and every handler ends in its own
+// indirect jump through a label table generated from machine/mops.def.
+// WISP_THREADED=OFF builds dispatch the same handler bodies with a switch.
+//
+// Frame bookkeeping is done by macros rather than by-reference lambdas, so
+// the pc, the cycle count and the label table stay in registers: a lambda
+// that captures the pc makes it addressable, and GCC then stores it to the
+// stack before every indirect jump. Only three places turn the pc pointer
+// back into an index: WRITEBACK, TRAP_IP and the jump targets.
+//
+//===----------------------------------------------------------------------===//
 
 #include "machine/executor.h"
 
@@ -10,10 +24,15 @@
 #include "machine/isa.h"
 #include "runtime/hooks.h"
 #include "runtime/numerics.h"
+#include "support/dispatch.h"
+
+#include <iterator>
 
 using namespace wisp;
 
 #define WISP_UNLIKELY(x) __builtin_expect(!!(x), 0)
+
+bool wisp::executorThreadedDispatch() { return WISP_DISPATCH_GOTO; }
 
 RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
   assert(!T.Frames.empty() && T.Frames.size() >= EntryDepth);
@@ -31,37 +50,42 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
   FuncInstance *Func = nullptr;
   const MCode *Code = nullptr;
   const MInst *Insts = nullptr;
-  uint32_t Pc = 0;
+  // The next instruction to run: dispatch advances Pc before the handler
+  // runs, so a handler's own instruction is Pc[-1] and a call's written
+  // back Pc is already its return address.
+  const MInst *Pc = nullptr;
   uint32_t Vfp = 0;
-  uint8_t *MemData = Inst->HasMemory ? Inst->Memory.data() : nullptr;
-  uint64_t MemSize = Inst->HasMemory ? Inst->Memory.byteSize() : 0;
+  uint8_t *MemData = nullptr;
+  uint64_t MemSize = 0;
 
-  auto restore = [&]() {
-    F = &T.Frames.back();
-    Func = F->Func;
-    Code = F->Code;
-    Insts = Code->Insts.data();
-    Pc = F->Pc;
-    Vfp = F->Vfp;
-    MemData = Inst->HasMemory ? Inst->Memory.data() : nullptr;
-    MemSize = Inst->HasMemory ? Inst->Memory.byteSize() : 0;
-  };
-  auto writeback = [&]() { F->Pc = Pc; };
-
-  restore();
-
+#define I (Pc[-1])
+#define RELOAD_MEM()                                                           \
+  do {                                                                         \
+    MemData = Inst->HasMemory ? Inst->Memory.data() : nullptr;                 \
+    MemSize = Inst->HasMemory ? Inst->Memory.byteSize() : 0;                   \
+  } while (0)
+#define RESTORE()                                                              \
+  do {                                                                         \
+    F = &T.Frames.back();                                                      \
+    Func = F->Func;                                                            \
+    Code = F->Code;                                                            \
+    Insts = Code->Insts.data();                                                \
+    Pc = Insts + F->Pc;                                                        \
+    Vfp = F->Vfp;                                                              \
+    RELOAD_MEM();                                                              \
+  } while (0)
+#define WRITEBACK() (F->Pc = uint32_t(Pc - Insts))
   // The faulting bytecode offset: machine pc of the current instruction
-  // (Pc was already advanced) mapped back through the compiler's line
-  // table, so JIT tiers report the same trap coordinate as the
-  // interpreters. Falls back to the frame's last observed Ip when the
-  // pipeline recorded no table (optimizing tier).
-  auto trapIp = [&]() { return Code->ipForPc(Pc - 1, F->Ip); };
+  // mapped back through the compiler's line table, so JIT tiers report the
+  // same trap coordinate as the interpreters. Falls back to the frame's
+  // last observed Ip when the pipeline recorded no table (optimizing tier).
+#define TRAP_IP() Code->ipForPc(uint32_t(Pc - Insts) - 1, F->Ip)
 
 #define TRAP(Reason)                                                           \
   do {                                                                         \
-    writeback();                                                               \
+    WRITEBACK();                                                               \
     T.JitCycles += Cyc;                                                        \
-    T.setTrap(Reason, trapIp());                                               \
+    T.setTrap(Reason, TRAP_IP());                                              \
     return RunSignal::Trapped;                                                 \
   } while (0)
 
@@ -70,457 +94,490 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
 #define SETF32(Dst, V) Dst = f32ToBits(V)
 #define SETF64(Dst, V) Dst = f64ToBits(V)
 
+#define CHECK_PC()                                                             \
+  assert(size_t(Pc - Insts) < Code->Insts.size() && "machine pc out of bounds")
+
+  RESTORE();
+
+#if WISP_DISPATCH_GOTO
+
+  // One label per opcode, in MOp order, plus the NumOps guard.
+  static const void *const Handlers[] = {
+#define WISP_MOP(Name) &&L_##Name,
+#include "machine/mops.def"
+      &&L_NumOps};
+  static_assert(std::size(Handlers) == size_t(MOp::NumOps) + 1,
+                "handler table out of sync with MOp");
+
+#define OP(Name) L_##Name:
+#define NEXT()                                                                 \
+  do {                                                                         \
+    CHECK_PC();                                                                \
+    ++Pc;                                                                      \
+    ++Cyc;                                                                     \
+    goto *Handlers[size_t(I.Op)];                                              \
+  } while (0)
+
+  NEXT();
+
+#else // !WISP_DISPATCH_GOTO
+
+#define OP(Name) case MOp::Name:
+#define NEXT() continue
+
   for (;;) {
-    assert(Pc < Code->Insts.size() && "machine pc out of bounds");
-    const MInst &I = Insts[Pc];
+    CHECK_PC();
     ++Pc;
     ++Cyc;
     switch (I.Op) {
-    case MOp::Nop:
+
+#endif // WISP_DISPATCH_GOTO
+
+    OP(Nop)
       --Cyc; // Nops left by peephole rewriting are elided from the model.
-      break;
+      NEXT();
 
     // --- Slot traffic ---
-    case MOp::LdSlot:
+    OP(LdSlot)
       ++Cyc;
       G[I.A] = S[Vfp + I.Imm];
-      break;
-    case MOp::LdSlotF:
+      NEXT();
+    OP(LdSlotF)
       ++Cyc;
       FR[I.A] = S[Vfp + I.Imm];
-      break;
-    case MOp::StSlot:
+      NEXT();
+    OP(StSlot)
       ++Cyc;
       S[Vfp + I.Imm] = G[I.A];
-      break;
-    case MOp::StSlotF:
+      NEXT();
+    OP(StSlotF)
       ++Cyc;
       S[Vfp + I.Imm] = FR[I.A];
-      break;
-    case MOp::StTag:
+      NEXT();
+    OP(StTag)
       if (Tg)
         Tg[Vfp + I.Imm] = I.A;
-      break;
-    case MOp::StSp:
+      NEXT();
+    OP(StSp)
       F->Sp = Vfp + uint32_t(I.Imm);
-      break;
-    case MOp::ZeroSlots: {
+      NEXT();
+    OP(ZeroSlots) {
       Cyc += uint64_t(I.Imm2);
       memset(S + Vfp + I.Imm, 0, size_t(I.Imm2) * 8);
-      break;
+      NEXT();
     }
 
     // --- Moves ---
-    case MOp::MovRR:
+    OP(MovRR)
       G[I.A] = G[I.B];
-      break;
-    case MOp::MovFF:
+      NEXT();
+    OP(MovFF)
       FR[I.A] = FR[I.B];
-      break;
-    case MOp::MovRI:
+      NEXT();
+    OP(MovRI)
       G[I.A] = uint64_t(I.Imm);
-      break;
-    case MOp::MovFI:
+      NEXT();
+    OP(MovFI)
       FR[I.A] = uint64_t(I.Imm);
-      break;
-    case MOp::RintFG32:
+      NEXT();
+    OP(RintFG32)
       G[I.A] = uint32_t(FR[I.B]);
-      break;
-    case MOp::RintFG64:
+      NEXT();
+    OP(RintFG64)
       G[I.A] = FR[I.B];
-      break;
-    case MOp::RintGF32:
+      NEXT();
+    OP(RintGF32)
       FR[I.A] = uint32_t(G[I.B]);
-      break;
-    case MOp::RintGF64:
+      NEXT();
+    OP(RintGF64)
       FR[I.A] = G[I.B];
-      break;
+      NEXT();
 
     // --- i32 ALU ---
 #define A32 uint32_t(G[I.B])
 #define B32 uint32_t(G[I.C])
-    case MOp::Add32:
+    OP(Add32)
       G[I.A] = uint32_t(A32 + B32);
-      break;
-    case MOp::Sub32:
+      NEXT();
+    OP(Sub32)
       G[I.A] = uint32_t(A32 - B32);
-      break;
-    case MOp::Mul32:
+      NEXT();
+    OP(Mul32)
       Cyc += 2;
       G[I.A] = uint32_t(A32 * B32);
-      break;
-    case MOp::DivS32: {
+      NEXT();
+    OP(DivS32) {
       Cyc += 8;
       int32_t R;
       TrapReason Tr = divS32(int32_t(A32), int32_t(B32), &R);
       if (WISP_UNLIKELY(Tr != TrapReason::None))
         TRAP(Tr);
       G[I.A] = uint32_t(R);
-      break;
+      NEXT();
     }
-    case MOp::DivU32: {
+    OP(DivU32) {
       Cyc += 8;
       uint32_t R;
       TrapReason Tr = divU32(A32, B32, &R);
       if (WISP_UNLIKELY(Tr != TrapReason::None))
         TRAP(Tr);
       G[I.A] = R;
-      break;
+      NEXT();
     }
-    case MOp::RemS32: {
+    OP(RemS32) {
       Cyc += 8;
       int32_t R;
       TrapReason Tr = remS32(int32_t(A32), int32_t(B32), &R);
       if (WISP_UNLIKELY(Tr != TrapReason::None))
         TRAP(Tr);
       G[I.A] = uint32_t(R);
-      break;
+      NEXT();
     }
-    case MOp::RemU32: {
+    OP(RemU32) {
       Cyc += 8;
       uint32_t R;
       TrapReason Tr = remU32(A32, B32, &R);
       if (WISP_UNLIKELY(Tr != TrapReason::None))
         TRAP(Tr);
       G[I.A] = R;
-      break;
+      NEXT();
     }
-    case MOp::And32:
+    OP(And32)
       G[I.A] = A32 & B32;
-      break;
-    case MOp::Or32:
+      NEXT();
+    OP(Or32)
       G[I.A] = A32 | B32;
-      break;
-    case MOp::Xor32:
+      NEXT();
+    OP(Xor32)
       G[I.A] = A32 ^ B32;
-      break;
-    case MOp::Shl32:
+      NEXT();
+    OP(Shl32)
       G[I.A] = shl32(A32, B32);
-      break;
-    case MOp::ShrS32:
+      NEXT();
+    OP(ShrS32)
       G[I.A] = uint32_t(shrS32(int32_t(A32), B32));
-      break;
-    case MOp::ShrU32:
+      NEXT();
+    OP(ShrU32)
       G[I.A] = shrU32(A32, B32);
-      break;
-    case MOp::Rotl32:
+      NEXT();
+    OP(Rotl32)
       G[I.A] = rotl32(A32, B32);
-      break;
-    case MOp::Rotr32:
+      NEXT();
+    OP(Rotr32)
       G[I.A] = rotr32(A32, B32);
-      break;
-    case MOp::AddI32:
+      NEXT();
+    OP(AddI32)
       G[I.A] = uint32_t(A32 + uint32_t(I.Imm));
-      break;
-    case MOp::MulI32:
+      NEXT();
+    OP(MulI32)
       Cyc += 2;
       G[I.A] = uint32_t(A32 * uint32_t(I.Imm));
-      break;
-    case MOp::AndI32:
+      NEXT();
+    OP(AndI32)
       G[I.A] = A32 & uint32_t(I.Imm);
-      break;
-    case MOp::OrI32:
+      NEXT();
+    OP(OrI32)
       G[I.A] = A32 | uint32_t(I.Imm);
-      break;
-    case MOp::XorI32:
+      NEXT();
+    OP(XorI32)
       G[I.A] = A32 ^ uint32_t(I.Imm);
-      break;
-    case MOp::ShlI32:
+      NEXT();
+    OP(ShlI32)
       G[I.A] = shl32(A32, uint32_t(I.Imm));
-      break;
-    case MOp::ShrSI32:
+      NEXT();
+    OP(ShrSI32)
       G[I.A] = uint32_t(shrS32(int32_t(A32), uint32_t(I.Imm)));
-      break;
-    case MOp::ShrUI32:
+      NEXT();
+    OP(ShrUI32)
       G[I.A] = shrU32(A32, uint32_t(I.Imm));
-      break;
-    case MOp::Clz32:
+      NEXT();
+    OP(Clz32)
       G[I.A] = clz32(A32);
-      break;
-    case MOp::Ctz32:
+      NEXT();
+    OP(Ctz32)
       G[I.A] = ctz32(A32);
-      break;
-    case MOp::Popcnt32:
+      NEXT();
+    OP(Popcnt32)
       G[I.A] = popcnt32(A32);
-      break;
-    case MOp::Eqz32:
+      NEXT();
+    OP(Eqz32)
       G[I.A] = A32 == 0;
-      break;
-    case MOp::Ext8S32:
+      NEXT();
+    OP(Ext8S32)
       G[I.A] = uint32_t(int32_t(int8_t(uint8_t(A32))));
-      break;
-    case MOp::Ext16S32:
+      NEXT();
+    OP(Ext16S32)
       G[I.A] = uint32_t(int32_t(int16_t(uint16_t(A32))));
-      break;
-    case MOp::CmpSet32:
+      NEXT();
+    OP(CmpSet32)
       G[I.A] = evalCond32(Cond(I.D), A32, B32);
-      break;
-    case MOp::CmpSetI32:
+      NEXT();
+    OP(CmpSetI32)
       G[I.A] = evalCond32(Cond(I.D), A32, uint32_t(I.Imm));
-      break;
+      NEXT();
 
     // --- i64 ALU ---
 #define A64 G[I.B]
 #define B64 G[I.C]
-    case MOp::Add64:
+    OP(Add64)
       G[I.A] = A64 + B64;
-      break;
-    case MOp::Sub64:
+      NEXT();
+    OP(Sub64)
       G[I.A] = A64 - B64;
-      break;
-    case MOp::Mul64:
+      NEXT();
+    OP(Mul64)
       Cyc += 2;
       G[I.A] = A64 * B64;
-      break;
-    case MOp::DivS64: {
+      NEXT();
+    OP(DivS64) {
       Cyc += 10;
       int64_t R;
       TrapReason Tr = divS64(int64_t(A64), int64_t(B64), &R);
       if (WISP_UNLIKELY(Tr != TrapReason::None))
         TRAP(Tr);
       G[I.A] = uint64_t(R);
-      break;
+      NEXT();
     }
-    case MOp::DivU64: {
+    OP(DivU64) {
       Cyc += 10;
       uint64_t R;
       TrapReason Tr = divU64(A64, B64, &R);
       if (WISP_UNLIKELY(Tr != TrapReason::None))
         TRAP(Tr);
       G[I.A] = R;
-      break;
+      NEXT();
     }
-    case MOp::RemS64: {
+    OP(RemS64) {
       Cyc += 10;
       int64_t R;
       TrapReason Tr = remS64(int64_t(A64), int64_t(B64), &R);
       if (WISP_UNLIKELY(Tr != TrapReason::None))
         TRAP(Tr);
       G[I.A] = uint64_t(R);
-      break;
+      NEXT();
     }
-    case MOp::RemU64: {
+    OP(RemU64) {
       Cyc += 10;
       uint64_t R;
       TrapReason Tr = remU64(A64, B64, &R);
       if (WISP_UNLIKELY(Tr != TrapReason::None))
         TRAP(Tr);
       G[I.A] = R;
-      break;
+      NEXT();
     }
-    case MOp::And64:
+    OP(And64)
       G[I.A] = A64 & B64;
-      break;
-    case MOp::Or64:
+      NEXT();
+    OP(Or64)
       G[I.A] = A64 | B64;
-      break;
-    case MOp::Xor64:
+      NEXT();
+    OP(Xor64)
       G[I.A] = A64 ^ B64;
-      break;
-    case MOp::Shl64:
+      NEXT();
+    OP(Shl64)
       G[I.A] = shl64(A64, B64);
-      break;
-    case MOp::ShrS64:
+      NEXT();
+    OP(ShrS64)
       G[I.A] = uint64_t(shrS64(int64_t(A64), B64));
-      break;
-    case MOp::ShrU64:
+      NEXT();
+    OP(ShrU64)
       G[I.A] = shrU64(A64, B64);
-      break;
-    case MOp::Rotl64:
+      NEXT();
+    OP(Rotl64)
       G[I.A] = rotl64(A64, B64);
-      break;
-    case MOp::Rotr64:
+      NEXT();
+    OP(Rotr64)
       G[I.A] = rotr64(A64, B64);
-      break;
-    case MOp::AddI64:
+      NEXT();
+    OP(AddI64)
       G[I.A] = A64 + uint64_t(I.Imm);
-      break;
-    case MOp::MulI64:
+      NEXT();
+    OP(MulI64)
       Cyc += 2;
       G[I.A] = A64 * uint64_t(I.Imm);
-      break;
-    case MOp::AndI64:
+      NEXT();
+    OP(AndI64)
       G[I.A] = A64 & uint64_t(I.Imm);
-      break;
-    case MOp::OrI64:
+      NEXT();
+    OP(OrI64)
       G[I.A] = A64 | uint64_t(I.Imm);
-      break;
-    case MOp::XorI64:
+      NEXT();
+    OP(XorI64)
       G[I.A] = A64 ^ uint64_t(I.Imm);
-      break;
-    case MOp::ShlI64:
+      NEXT();
+    OP(ShlI64)
       G[I.A] = shl64(A64, uint64_t(I.Imm));
-      break;
-    case MOp::ShrSI64:
+      NEXT();
+    OP(ShrSI64)
       G[I.A] = uint64_t(shrS64(int64_t(A64), uint64_t(I.Imm)));
-      break;
-    case MOp::ShrUI64:
+      NEXT();
+    OP(ShrUI64)
       G[I.A] = shrU64(A64, uint64_t(I.Imm));
-      break;
-    case MOp::Clz64:
+      NEXT();
+    OP(Clz64)
       G[I.A] = clz64(A64);
-      break;
-    case MOp::Ctz64:
+      NEXT();
+    OP(Ctz64)
       G[I.A] = ctz64(A64);
-      break;
-    case MOp::Popcnt64:
+      NEXT();
+    OP(Popcnt64)
       G[I.A] = popcnt64(A64);
-      break;
-    case MOp::Eqz64:
+      NEXT();
+    OP(Eqz64)
       G[I.A] = A64 == 0;
-      break;
-    case MOp::Ext8S64:
+      NEXT();
+    OP(Ext8S64)
       G[I.A] = uint64_t(int64_t(int8_t(uint8_t(A64))));
-      break;
-    case MOp::Ext16S64:
+      NEXT();
+    OP(Ext16S64)
       G[I.A] = uint64_t(int64_t(int16_t(uint16_t(A64))));
-      break;
-    case MOp::Ext32S64:
+      NEXT();
+    OP(Ext32S64)
       G[I.A] = uint64_t(int64_t(int32_t(uint32_t(A64))));
-      break;
-    case MOp::CmpSet64:
+      NEXT();
+    OP(CmpSet64)
       G[I.A] = evalCond64(Cond(I.D), A64, B64);
-      break;
-    case MOp::CmpSetI64:
+      NEXT();
+    OP(CmpSetI64)
       G[I.A] = evalCond64(Cond(I.D), A64, uint64_t(I.Imm));
-      break;
-    case MOp::Wrap64:
+      NEXT();
+    OP(Wrap64)
       G[I.A] = uint32_t(G[I.B]);
-      break;
-    case MOp::ExtS3264:
+      NEXT();
+    OP(ExtS3264)
       G[I.A] = uint64_t(int64_t(int32_t(uint32_t(G[I.B]))));
-      break;
+      NEXT();
 
     // --- f32 ALU ---
 #define AF FLOAT32(FR[I.B])
 #define BF FLOAT32(FR[I.C])
-    case MOp::AddF32:
+    OP(AddF32)
       Cyc += 2;
       SETF32(FR[I.A], canonNaN(AF + BF));
-      break;
-    case MOp::SubF32:
+      NEXT();
+    OP(SubF32)
       Cyc += 2;
       SETF32(FR[I.A], canonNaN(AF - BF));
-      break;
-    case MOp::MulF32:
+      NEXT();
+    OP(MulF32)
       Cyc += 3;
       SETF32(FR[I.A], canonNaN(AF * BF));
-      break;
-    case MOp::DivF32:
+      NEXT();
+    OP(DivF32)
       Cyc += 8;
       SETF32(FR[I.A], canonNaN(AF / BF));
-      break;
-    case MOp::MinF32:
+      NEXT();
+    OP(MinF32)
       Cyc += 2;
       SETF32(FR[I.A], wasmMin(AF, BF));
-      break;
-    case MOp::MaxF32:
+      NEXT();
+    OP(MaxF32)
       Cyc += 2;
       SETF32(FR[I.A], wasmMax(AF, BF));
-      break;
-    case MOp::CopysignF32:
+      NEXT();
+    OP(CopysignF32)
       SETF32(FR[I.A], std::copysign(AF, BF));
-      break;
-    case MOp::AbsF32:
+      NEXT();
+    OP(AbsF32)
       SETF32(FR[I.A], std::fabs(AF));
-      break;
-    case MOp::NegF32:
+      NEXT();
+    OP(NegF32)
       FR[I.A] = FR[I.B] ^ 0x80000000u;
-      break;
-    case MOp::CeilF32:
+      NEXT();
+    OP(CeilF32)
       Cyc += 2;
       SETF32(FR[I.A], std::ceil(AF));
-      break;
-    case MOp::FloorF32:
+      NEXT();
+    OP(FloorF32)
       Cyc += 2;
       SETF32(FR[I.A], std::floor(AF));
-      break;
-    case MOp::TruncF32:
+      NEXT();
+    OP(TruncF32)
       Cyc += 2;
       SETF32(FR[I.A], std::trunc(AF));
-      break;
-    case MOp::NearestF32:
+      NEXT();
+    OP(NearestF32)
       Cyc += 2;
       SETF32(FR[I.A], wasmNearest(AF));
-      break;
-    case MOp::SqrtF32:
+      NEXT();
+    OP(SqrtF32)
       Cyc += 8;
       SETF32(FR[I.A], canonNaN(std::sqrt(AF)));
-      break;
+      NEXT();
 
     // --- f64 ALU ---
 #define AD FLOAT64(FR[I.B])
 #define BD FLOAT64(FR[I.C])
-    case MOp::AddF64:
+    OP(AddF64)
       Cyc += 2;
       SETF64(FR[I.A], canonNaN(AD + BD));
-      break;
-    case MOp::SubF64:
+      NEXT();
+    OP(SubF64)
       Cyc += 2;
       SETF64(FR[I.A], canonNaN(AD - BD));
-      break;
-    case MOp::MulF64:
+      NEXT();
+    OP(MulF64)
       Cyc += 3;
       SETF64(FR[I.A], canonNaN(AD * BD));
-      break;
-    case MOp::DivF64:
+      NEXT();
+    OP(DivF64)
       Cyc += 10;
       SETF64(FR[I.A], canonNaN(AD / BD));
-      break;
-    case MOp::MinF64:
+      NEXT();
+    OP(MinF64)
       Cyc += 2;
       SETF64(FR[I.A], wasmMin(AD, BD));
-      break;
-    case MOp::MaxF64:
+      NEXT();
+    OP(MaxF64)
       Cyc += 2;
       SETF64(FR[I.A], wasmMax(AD, BD));
-      break;
-    case MOp::CopysignF64:
+      NEXT();
+    OP(CopysignF64)
       SETF64(FR[I.A], std::copysign(AD, BD));
-      break;
-    case MOp::AbsF64:
+      NEXT();
+    OP(AbsF64)
       SETF64(FR[I.A], std::fabs(AD));
-      break;
-    case MOp::NegF64:
+      NEXT();
+    OP(NegF64)
       FR[I.A] = FR[I.B] ^ 0x8000000000000000ull;
-      break;
-    case MOp::CeilF64:
+      NEXT();
+    OP(CeilF64)
       Cyc += 2;
       SETF64(FR[I.A], std::ceil(AD));
-      break;
-    case MOp::FloorF64:
+      NEXT();
+    OP(FloorF64)
       Cyc += 2;
       SETF64(FR[I.A], std::floor(AD));
-      break;
-    case MOp::TruncF64:
+      NEXT();
+    OP(TruncF64)
       Cyc += 2;
       SETF64(FR[I.A], std::trunc(AD));
-      break;
-    case MOp::NearestF64:
+      NEXT();
+    OP(NearestF64)
       Cyc += 2;
       SETF64(FR[I.A], wasmNearest(AD));
-      break;
-    case MOp::SqrtF64:
+      NEXT();
+    OP(SqrtF64)
       Cyc += 10;
       SETF64(FR[I.A], canonNaN(std::sqrt(AD)));
-      break;
-    case MOp::CmpSetF32:
+      NEXT();
+    OP(CmpSetF32)
       G[I.A] = evalCondF(FCond(I.D), AF, BF);
-      break;
-    case MOp::CmpSetF64:
+      NEXT();
+    OP(CmpSetF64)
       G[I.A] = evalCondF(FCond(I.D), AD, BD);
-      break;
+      NEXT();
 
     // --- Conversions ---
-#define TRUNC_CASE(Name, View, ToType)                                        \
-  case MOp::Name: {                                                           \
+#define TRUNC_CASE(Name, View, ToType)                                         \
+  OP(Name) {                                                                   \
     Cyc += 4;                                                                  \
     ToType R;                                                                  \
     TrapReason Tr = truncChecked(View, &R);                                    \
     if (WISP_UNLIKELY(Tr != TrapReason::None))                                 \
       TRAP(Tr);                                                                \
     G[I.A] = uint64_t(std::make_unsigned_t<ToType>(R));                        \
-    break;                                                                     \
+    NEXT();                                                                    \
   }
       TRUNC_CASE(TruncF32I32S, FLOAT32(FR[I.B]), int32_t)
       TRUNC_CASE(TruncF32I32U, FLOAT32(FR[I.B]), uint32_t)
@@ -531,11 +588,11 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
       TRUNC_CASE(TruncF64I64S, FLOAT64(FR[I.B]), int64_t)
       TRUNC_CASE(TruncF64I64U, FLOAT64(FR[I.B]), uint64_t)
 #define TRUNCSAT_CASE(Name, View, ToType)                                      \
-  case MOp::Name:                                                              \
+  OP(Name)                                                                     \
     Cyc += 4;                                                                  \
     G[I.A] = uint64_t(std::make_unsigned_t<ToType>(                            \
         truncSat<decltype(View), ToType>(View)));                              \
-    break;
+    NEXT();
       TRUNCSAT_CASE(TruncSatF32I32S, FLOAT32(FR[I.B]), int32_t)
       TRUNCSAT_CASE(TruncSatF32I32U, FLOAT32(FR[I.B]), uint32_t)
       TRUNCSAT_CASE(TruncSatF64I32S, FLOAT64(FR[I.B]), int32_t)
@@ -544,50 +601,50 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
       TRUNCSAT_CASE(TruncSatF32I64U, FLOAT32(FR[I.B]), uint64_t)
       TRUNCSAT_CASE(TruncSatF64I64S, FLOAT64(FR[I.B]), int64_t)
       TRUNCSAT_CASE(TruncSatF64I64U, FLOAT64(FR[I.B]), uint64_t)
-    case MOp::ConvI32SF32:
+    OP(ConvI32SF32)
       Cyc += 3;
       SETF32(FR[I.A], float(int32_t(uint32_t(G[I.B]))));
-      break;
-    case MOp::ConvI32UF32:
+      NEXT();
+    OP(ConvI32UF32)
       Cyc += 3;
       SETF32(FR[I.A], float(uint32_t(G[I.B])));
-      break;
-    case MOp::ConvI64SF32:
+      NEXT();
+    OP(ConvI64SF32)
       Cyc += 3;
       SETF32(FR[I.A], float(int64_t(G[I.B])));
-      break;
-    case MOp::ConvI64UF32:
+      NEXT();
+    OP(ConvI64UF32)
       Cyc += 3;
       SETF32(FR[I.A], float(G[I.B]));
-      break;
-    case MOp::ConvI32SF64:
+      NEXT();
+    OP(ConvI32SF64)
       Cyc += 3;
       SETF64(FR[I.A], double(int32_t(uint32_t(G[I.B]))));
-      break;
-    case MOp::ConvI32UF64:
+      NEXT();
+    OP(ConvI32UF64)
       Cyc += 3;
       SETF64(FR[I.A], double(uint32_t(G[I.B])));
-      break;
-    case MOp::ConvI64SF64:
+      NEXT();
+    OP(ConvI64SF64)
       Cyc += 3;
       SETF64(FR[I.A], double(int64_t(G[I.B])));
-      break;
-    case MOp::ConvI64UF64:
+      NEXT();
+    OP(ConvI64UF64)
       Cyc += 3;
       SETF64(FR[I.A], double(G[I.B]));
-      break;
-    case MOp::DemoteF64:
+      NEXT();
+    OP(DemoteF64)
       Cyc += 2;
       SETF32(FR[I.A], float(FLOAT64(FR[I.B])));
-      break;
-    case MOp::PromoteF32:
+      NEXT();
+    OP(PromoteF32)
       Cyc += 2;
       SETF64(FR[I.A], double(FLOAT32(FR[I.B])));
-      break;
+      NEXT();
 
     // --- Memory ---
 #define LOAD_CASE(Name, CType, Conv, Dst)                                      \
-  case MOp::Name: {                                                           \
+  OP(Name) {                                                                   \
     Cyc += 2;                                                                  \
     uint64_t EA = uint64_t(uint32_t(G[I.B])) + uint64_t(I.Imm);                \
     if (WISP_UNLIKELY(EA + sizeof(CType) > MemSize))                           \
@@ -595,7 +652,7 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
     CType V;                                                                   \
     memcpy(&V, MemData + EA, sizeof(CType));                                   \
     Dst[I.A] = Conv;                                                           \
-    break;                                                                     \
+    NEXT();                                                                    \
   }
       LOAD_CASE(LdM8S32, int8_t, uint32_t(int32_t(V)), G)
       LOAD_CASE(LdM8U32, uint8_t, V, G)
@@ -612,7 +669,7 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
       LOAD_CASE(LdMF32, uint32_t, V, FR)
       LOAD_CASE(LdMF64, uint64_t, V, FR)
 #define STORE_CASE(Name, CType, Src)                                           \
-  case MOp::Name: {                                                           \
+  OP(Name) {                                                                   \
     Cyc += 2;                                                                  \
     uint64_t EA = uint64_t(uint32_t(G[I.B])) + uint64_t(I.Imm);                \
     if (WISP_UNLIKELY(EA + sizeof(CType) > MemSize))                           \
@@ -620,7 +677,7 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
     CType V = CType(Src[I.A]);                                                 \
     memcpy(MemData + EA, &V, sizeof(CType));                                   \
     Inst->Memory.noteWrite(EA + sizeof(CType));                                \
-    break;                                                                     \
+    NEXT();                                                                    \
   }
       STORE_CASE(StM8, uint8_t, G)
       STORE_CASE(StM16, uint16_t, G)
@@ -628,18 +685,18 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
       STORE_CASE(StM64, uint64_t, G)
       STORE_CASE(StMF32, uint32_t, FR)
       STORE_CASE(StMF64, uint64_t, FR)
-    case MOp::MemSize:
+    OP(MemSize)
       G[I.A] = Inst->Memory.pages();
-      break;
-    case MOp::MemGrow: {
+      NEXT();
+    OP(MemGrow) {
       Cyc += 20;
       int64_t Old = Inst->Memory.grow(uint32_t(G[I.B]));
       G[I.A] = uint64_t(uint32_t(Old));
       MemData = Inst->Memory.data();
       MemSize = Inst->Memory.byteSize();
-      break;
+      NEXT();
     }
-    case MOp::MemCopy: {
+    OP(MemCopy) {
       uint64_t Dst = uint32_t(G[I.A]);
       uint64_t Src = uint32_t(G[I.B]);
       uint64_t Len = uint32_t(G[I.C]);
@@ -648,9 +705,9 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
         TRAP(TrapReason::MemOutOfBounds);
       memmove(MemData + Dst, MemData + Src, size_t(Len));
       Inst->Memory.noteWrite(Dst + Len);
-      break;
+      NEXT();
     }
-    case MOp::MemFill: {
+    OP(MemFill) {
       uint64_t Dst = uint32_t(G[I.A]);
       uint32_t Val = uint32_t(G[I.B]);
       uint64_t Len = uint32_t(G[I.C]);
@@ -659,68 +716,68 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
         TRAP(TrapReason::MemOutOfBounds);
       memset(MemData + Dst, int(Val & 0xff), size_t(Len));
       Inst->Memory.noteWrite(Dst + Len);
-      break;
+      NEXT();
     }
-    case MOp::GlobGet:
+    OP(GlobGet)
       ++Cyc;
       G[I.A] = Inst->Globals[size_t(I.Imm)].Bits;
-      break;
-    case MOp::GlobGetF:
+      NEXT();
+    OP(GlobGetF)
       ++Cyc;
       FR[I.A] = Inst->Globals[size_t(I.Imm)].Bits;
-      break;
-    case MOp::GlobSet:
+      NEXT();
+    OP(GlobSet)
       ++Cyc;
       Inst->Globals[size_t(I.Imm)].Bits = G[I.A];
-      break;
-    case MOp::GlobSetF:
+      NEXT();
+    OP(GlobSetF)
       ++Cyc;
       Inst->Globals[size_t(I.Imm)].Bits = FR[I.A];
-      break;
+      NEXT();
 
     // --- Control ---
-    case MOp::Jmp:
-      Pc = uint32_t(I.Imm);
-      break;
-    case MOp::JmpIf:
+    OP(Jmp)
+      Pc = Insts + uint32_t(I.Imm);
+      NEXT();
+    OP(JmpIf)
       if (G[I.A] & 0xffffffffu)
-        Pc = uint32_t(I.Imm);
-      break;
-    case MOp::JmpIfZ:
+        Pc = Insts + uint32_t(I.Imm);
+      NEXT();
+    OP(JmpIfZ)
       if (!(G[I.A] & 0xffffffffu))
-        Pc = uint32_t(I.Imm);
-      break;
-    case MOp::BrCmp32:
+        Pc = Insts + uint32_t(I.Imm);
+      NEXT();
+    OP(BrCmp32)
       if (evalCond32(Cond(I.D), uint32_t(G[I.A]), uint32_t(G[I.B])))
-        Pc = uint32_t(I.Imm);
-      break;
-    case MOp::BrCmpI32:
+        Pc = Insts + uint32_t(I.Imm);
+      NEXT();
+    OP(BrCmpI32)
       if (evalCond32(Cond(I.D), uint32_t(G[I.A]), uint32_t(I.Imm2)))
-        Pc = uint32_t(I.Imm);
-      break;
-    case MOp::BrCmp64:
+        Pc = Insts + uint32_t(I.Imm);
+      NEXT();
+    OP(BrCmp64)
       if (evalCond64(Cond(I.D), G[I.A], G[I.B]))
-        Pc = uint32_t(I.Imm);
-      break;
-    case MOp::BrCmpI64:
+        Pc = Insts + uint32_t(I.Imm);
+      NEXT();
+    OP(BrCmpI64)
       if (evalCond64(Cond(I.D), G[I.A], uint64_t(I.Imm2)))
-        Pc = uint32_t(I.Imm);
-      break;
-    case MOp::BrTable: {
+        Pc = Insts + uint32_t(I.Imm);
+      NEXT();
+    OP(BrTable) {
       Cyc += 2;
       const std::vector<uint32_t> &Table = Code->BrTables[size_t(I.Imm)];
       uint64_t Idx = G[I.A] & 0xffffffffu;
       if (Idx >= Table.size())
         Idx = Table.size() - 1;
-      Pc = Table[size_t(Idx)];
-      break;
+      Pc = Insts + Table[size_t(Idx)];
+      NEXT();
     }
 
-    case MOp::CallDirect: {
+    OP(CallDirect) {
       Cyc += 4;
       FuncInstance *Callee = Inst->func(uint32_t(I.Imm));
       uint32_t ArgBase = Vfp + uint32_t(I.Imm2);
-      writeback();
+      WRITEBACK();
       if (WISP_UNLIKELY(T.TierUpThreshold) && !Callee->UseJit &&
           !Callee->Host) {
         // Lazy/tiered compilation of callees from JIT code.
@@ -735,12 +792,11 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
           // Attribute the host error to the call's bytecode only on the
           // trap path; the line-table search is not worth paying on every
           // successful host call.
-          T.TrapIp = trapIp();
+          T.TrapIp = TRAP_IP();
           return RunSignal::Trapped;
         }
-        MemData = Inst->HasMemory ? Inst->Memory.data() : nullptr;
-        MemSize = Inst->HasMemory ? Inst->Memory.byteSize() : 0;
-        break;
+        RELOAD_MEM();
+        NEXT();
       }
       if (!pushWasmFrame(T, Callee, ArgBase)) {
         T.JitCycles += Cyc;
@@ -751,11 +807,11 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
         Cyc = 0;
         return RunSignal::SwitchTier;
       }
-      restore();
-      break;
+      RESTORE();
+      NEXT();
     }
 
-    case MOp::CallIndirect: {
+    OP(CallIndirect) {
       Cyc += 6;
       Table &Tab = Inst->Tables[0];
       uint64_t EIdx = G[I.A] & 0xffffffffu;
@@ -769,7 +825,7 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
               !(*Callee->Type == Inst->M->Types[uint32_t(I.Imm)])))
         TRAP(TrapReason::IndirectCallTypeMismatch);
       uint32_t ArgBase = Vfp + uint32_t(I.Imm2);
-      writeback();
+      WRITEBACK();
       if (WISP_UNLIKELY(T.TierUpThreshold) && !Callee->UseJit &&
           !Callee->Host) {
         Callee->HotCount += 8;
@@ -783,12 +839,11 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
           // Attribute the host error to the call's bytecode only on the
           // trap path; the line-table search is not worth paying on every
           // successful host call.
-          T.TrapIp = trapIp();
+          T.TrapIp = TRAP_IP();
           return RunSignal::Trapped;
         }
-        MemData = Inst->HasMemory ? Inst->Memory.data() : nullptr;
-        MemSize = Inst->HasMemory ? Inst->Memory.byteSize() : 0;
-        break;
+        RELOAD_MEM();
+        NEXT();
       }
       if (!pushWasmFrame(T, Callee, ArgBase)) {
         T.JitCycles += Cyc;
@@ -799,11 +854,11 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
         Cyc = 0;
         return RunSignal::SwitchTier;
       }
-      restore();
-      break;
+      RESTORE();
+      NEXT();
     }
 
-    case MOp::Ret: {
+    OP(Ret) {
       Cyc += 2;
       uint32_t RetBase = Vfp; // Results were written at the callee's Vfp.
       uint32_t NRes = uint32_t(Func->Type->Results.size());
@@ -824,48 +879,46 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
         T.JitCycles += Cyc;
         return RunSignal::SwitchTier;
       }
-      restore();
-      MemData = Inst->HasMemory ? Inst->Memory.data() : nullptr;
-      MemSize = Inst->HasMemory ? Inst->Memory.byteSize() : 0;
-      break;
+      RESTORE();
+      NEXT();
     }
 
-    case MOp::TrapOp:
+    OP(TrapOp)
       TRAP(TrapReason(I.Imm));
 
     // --- Instrumentation & tiering ---
-    case MOp::ProbeFire: {
+    OP(ProbeFire) {
       Cyc += 250; // Runtime call, probe lookup, accessor allocation (heap).
-      writeback();
+      WRITEBACK();
       F->Ip = uint32_t(I.Imm);
       if (T.Hooks)
         T.Hooks->fireProbes(T, Func, uint32_t(I.Imm));
-      break;
+      NEXT();
     }
-    case MOp::ProbeTosG: {
+    OP(ProbeTosG) {
       Cyc += 30; // Direct call with the top-of-stack value; no accessor.
-      writeback();
+      WRITEBACK();
       F->Ip = uint32_t(I.Imm);
       if (T.Hooks)
         T.Hooks->fireProbeTos(T, Func, uint32_t(I.Imm),
                               Value{G[I.A], ValType(I.D)});
-      break;
+      NEXT();
     }
-    case MOp::ProbeTosF: {
+    OP(ProbeTosF) {
       Cyc += 30;
-      writeback();
+      WRITEBACK();
       F->Ip = uint32_t(I.Imm);
       if (T.Hooks)
         T.Hooks->fireProbeTos(T, Func, uint32_t(I.Imm),
                               Value{FR[I.A], ValType(I.D)});
-      break;
+      NEXT();
     }
-    case MOp::CntInc:
+    OP(CntInc)
       Cyc += 4;
       assert(I.Imm != 0 && "unbound CntInc patch point reached the executor");
       ++*reinterpret_cast<uint64_t *>(uintptr_t(I.Imm));
-      break;
-    case MOp::DeoptCheck:
+      NEXT();
+    OP(DeoptCheck)
       // Tier down when explicitly requested or when this frame runs stale
       // code (the function was recompiled, e.g. with probes attached).
       if (WISP_UNLIKELY(Func->DeoptRequested || F->Code != Func->Code)) {
@@ -878,9 +931,9 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
         T.JitCycles += Cyc;
         return RunSignal::SwitchTier;
       }
-      break;
+      NEXT();
 
-    case MOp::FuelCheck:
+    OP(FuelCheck)
       // Governance charge at a loop-header arrival (fallthrough, backedge
       // and OSR-skipped entry all agree with the interpreter tiers by
       // construction; see DESIGN.md). Traps at the bytecode header ip
@@ -889,17 +942,20 @@ RunSignal wisp::runExecutor(Thread &T, size_t EntryDepth) {
       if (WISP_UNLIKELY(T.Governed)) {
         TrapReason R = T.governCheck();
         if (WISP_UNLIKELY(R != TrapReason::None)) {
-          writeback();
+          WRITEBACK();
           T.JitCycles += Cyc;
           T.setTrap(R, uint32_t(I.Imm));
           return RunSignal::Trapped;
         }
       }
-      break;
+      NEXT();
 
-    case MOp::NumOps:
+    OP(NumOps)
       assert(false && "invalid machine opcode");
       TRAP(TrapReason::Unreachable);
+
+#if !WISP_DISPATCH_GOTO
     }
   }
+#endif
 }

@@ -8,65 +8,18 @@
 
 #include "support/format.h"
 
+#include <iterator>
+
 using namespace wisp;
 
 const char *wisp::mopName(MOp Op) {
-#define CASE(X)                                                                \
-  case MOp::X:                                                                 \
-    return #X;
-  switch (Op) {
-    CASE(Nop)
-    CASE(LdSlot) CASE(LdSlotF) CASE(StSlot) CASE(StSlotF) CASE(StTag)
-    CASE(StSp) CASE(ZeroSlots)
-    CASE(MovRR) CASE(MovFF) CASE(MovRI) CASE(MovFI)
-    CASE(RintFG32) CASE(RintFG64) CASE(RintGF32) CASE(RintGF64)
-    CASE(Add32) CASE(Sub32) CASE(Mul32) CASE(DivS32) CASE(DivU32)
-    CASE(RemS32) CASE(RemU32) CASE(And32) CASE(Or32) CASE(Xor32)
-    CASE(Shl32) CASE(ShrS32) CASE(ShrU32) CASE(Rotl32) CASE(Rotr32)
-    CASE(AddI32) CASE(MulI32) CASE(AndI32) CASE(OrI32) CASE(XorI32)
-    CASE(ShlI32) CASE(ShrSI32) CASE(ShrUI32)
-    CASE(Clz32) CASE(Ctz32) CASE(Popcnt32) CASE(Eqz32)
-    CASE(Ext8S32) CASE(Ext16S32) CASE(CmpSet32) CASE(CmpSetI32)
-    CASE(Add64) CASE(Sub64) CASE(Mul64) CASE(DivS64) CASE(DivU64)
-    CASE(RemS64) CASE(RemU64) CASE(And64) CASE(Or64) CASE(Xor64)
-    CASE(Shl64) CASE(ShrS64) CASE(ShrU64) CASE(Rotl64) CASE(Rotr64)
-    CASE(AddI64) CASE(MulI64) CASE(AndI64) CASE(OrI64) CASE(XorI64)
-    CASE(ShlI64) CASE(ShrSI64) CASE(ShrUI64)
-    CASE(Clz64) CASE(Ctz64) CASE(Popcnt64) CASE(Eqz64)
-    CASE(Ext8S64) CASE(Ext16S64) CASE(Ext32S64) CASE(CmpSet64)
-    CASE(CmpSetI64) CASE(Wrap64) CASE(ExtS3264)
-    CASE(AddF32) CASE(SubF32) CASE(MulF32) CASE(DivF32) CASE(MinF32)
-    CASE(MaxF32) CASE(CopysignF32) CASE(AbsF32) CASE(NegF32) CASE(CeilF32)
-    CASE(FloorF32) CASE(TruncF32) CASE(NearestF32) CASE(SqrtF32)
-    CASE(AddF64) CASE(SubF64) CASE(MulF64) CASE(DivF64) CASE(MinF64)
-    CASE(MaxF64) CASE(CopysignF64) CASE(AbsF64) CASE(NegF64) CASE(CeilF64)
-    CASE(FloorF64) CASE(TruncF64) CASE(NearestF64) CASE(SqrtF64)
-    CASE(CmpSetF32) CASE(CmpSetF64)
-    CASE(TruncF32I32S) CASE(TruncF32I32U) CASE(TruncF64I32S)
-    CASE(TruncF64I32U) CASE(TruncF32I64S) CASE(TruncF32I64U)
-    CASE(TruncF64I64S) CASE(TruncF64I64U)
-    CASE(TruncSatF32I32S) CASE(TruncSatF32I32U) CASE(TruncSatF64I32S)
-    CASE(TruncSatF64I32U) CASE(TruncSatF32I64S) CASE(TruncSatF32I64U)
-    CASE(TruncSatF64I64S) CASE(TruncSatF64I64U)
-    CASE(ConvI32SF32) CASE(ConvI32UF32) CASE(ConvI64SF32) CASE(ConvI64UF32)
-    CASE(ConvI32SF64) CASE(ConvI32UF64) CASE(ConvI64SF64) CASE(ConvI64UF64)
-    CASE(DemoteF64) CASE(PromoteF32)
-    CASE(LdM8S32) CASE(LdM8U32) CASE(LdM16S32) CASE(LdM16U32) CASE(LdM32)
-    CASE(LdM8S64) CASE(LdM8U64) CASE(LdM16S64) CASE(LdM16U64)
-    CASE(LdM32S64) CASE(LdM32U64) CASE(LdM64) CASE(LdMF32) CASE(LdMF64)
-    CASE(StM8) CASE(StM16) CASE(StM32) CASE(StM64) CASE(StMF32) CASE(StMF64)
-    CASE(MemSize) CASE(MemGrow) CASE(MemCopy) CASE(MemFill)
-    CASE(GlobGet) CASE(GlobGetF) CASE(GlobSet) CASE(GlobSetF)
-    CASE(Jmp) CASE(JmpIf) CASE(JmpIfZ)
-    CASE(BrCmp32) CASE(BrCmpI32) CASE(BrCmp64) CASE(BrCmpI64) CASE(BrTable)
-    CASE(CallDirect) CASE(CallIndirect) CASE(Ret) CASE(TrapOp)
-    CASE(ProbeFire) CASE(ProbeTosG) CASE(ProbeTosF) CASE(CntInc)
-    CASE(DeoptCheck)
-    CASE(FuelCheck)
-    CASE(NumOps)
-  }
-#undef CASE
-  return "<bad mop>";
+  static const char *const Names[] = {
+#define WISP_MOP(Name) #Name,
+#include "machine/mops.def"
+      "NumOps"};
+  static_assert(std::size(Names) == size_t(MOp::NumOps) + 1,
+                "mopName table out of sync with MOp");
+  return size_t(Op) < std::size(Names) ? Names[size_t(Op)] : "<bad mop>";
 }
 
 std::string MCode::toString() const {

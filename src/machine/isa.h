@@ -142,89 +142,12 @@ template <typename T> inline bool evalCondF(FCond C, T A, T B) {
   return false;
 }
 
-/// Machine opcodes. Grouped; see executor.cpp for exact semantics.
+/// Machine opcodes, generated from the one opcode list in mops.def (see
+/// executor.cpp for exact semantics). NumOps counts them and is not an
+/// opcode.
 enum class MOp : uint16_t {
-  Nop = 0,
-  // --- Value-stack slot traffic (Imm = slot index relative to VFP) ---
-  LdSlot,   ///< G[A] = slots[vfp+Imm]
-  LdSlotF,  ///< F[A] = slots[vfp+Imm]
-  StSlot,   ///< slots[vfp+Imm] = G[A]
-  StSlotF,  ///< slots[vfp+Imm] = F[A]
-  StTag,    ///< tags[vfp+Imm] = A (a ValType byte); no-op without tag lane
-  StSp,     ///< frame.Sp = vfp + Imm (stack-walker visibility)
-  ZeroSlots,///< slots[vfp+Imm .. +Imm2) = 0
-  // --- Moves ---
-  MovRR, ///< G[A] = G[B]
-  MovFF, ///< F[A] = F[B]
-  MovRI, ///< G[A] = Imm
-  MovFI, ///< F[A] = Imm (bit pattern)
-  RintFG32, ///< G[A] = zext(F[B] low 32)   (i32.reinterpret_f32)
-  RintFG64, ///< G[A] = F[B]
-  RintGF32, ///< F[A] = zext(G[B] low 32)   (f32.reinterpret_i32)
-  RintGF64, ///< F[A] = G[B]
-  // --- i32 ALU (A=dst, B=lhs, C=rhs; *I forms: Imm=rhs) ---
-  Add32, Sub32, Mul32, DivS32, DivU32, RemS32, RemU32,
-  And32, Or32, Xor32, Shl32, ShrS32, ShrU32, Rotl32, Rotr32,
-  AddI32, MulI32, AndI32, OrI32, XorI32, ShlI32, ShrSI32, ShrUI32,
-  Clz32, Ctz32, Popcnt32, Eqz32, Ext8S32, Ext16S32,
-  CmpSet32,  ///< G[A] = evalCond32(D, G[B], G[C])
-  CmpSetI32, ///< G[A] = evalCond32(D, G[B], Imm)
-  // --- i64 ALU ---
-  Add64, Sub64, Mul64, DivS64, DivU64, RemS64, RemU64,
-  And64, Or64, Xor64, Shl64, ShrS64, ShrU64, Rotl64, Rotr64,
-  AddI64, MulI64, AndI64, OrI64, XorI64, ShlI64, ShrSI64, ShrUI64,
-  Clz64, Ctz64, Popcnt64, Eqz64, Ext8S64, Ext16S64, Ext32S64,
-  CmpSet64, CmpSetI64,
-  Wrap64,   ///< G[A] = zext(u32(G[B]))
-  ExtS3264, ///< G[A] = sext64(i32(G[B]))
-  // --- f32 ALU (A=dst, B=lhs, C=rhs in float registers) ---
-  AddF32, SubF32, MulF32, DivF32, MinF32, MaxF32, CopysignF32,
-  AbsF32, NegF32, CeilF32, FloorF32, TruncF32, NearestF32, SqrtF32,
-  // --- f64 ALU ---
-  AddF64, SubF64, MulF64, DivF64, MinF64, MaxF64, CopysignF64,
-  AbsF64, NegF64, CeilF64, FloorF64, TruncF64, NearestF64, SqrtF64,
-  CmpSetF32, ///< G[A] = evalCondF(D, F[B], F[C])
-  CmpSetF64,
-  // --- Conversions (A=dst, B=src; register class per conversion) ---
-  TruncF32I32S, TruncF32I32U, TruncF64I32S, TruncF64I32U,
-  TruncF32I64S, TruncF32I64U, TruncF64I64S, TruncF64I64U,
-  TruncSatF32I32S, TruncSatF32I32U, TruncSatF64I32S, TruncSatF64I32U,
-  TruncSatF32I64S, TruncSatF32I64U, TruncSatF64I64S, TruncSatF64I64U,
-  ConvI32SF32, ConvI32UF32, ConvI64SF32, ConvI64UF32,
-  ConvI32SF64, ConvI32UF64, ConvI64SF64, ConvI64UF64,
-  DemoteF64, PromoteF32,
-  // --- Memory (A=dst/val, B=address reg, Imm=offset) ---
-  LdM8S32, LdM8U32, LdM16S32, LdM16U32, LdM32,
-  LdM8S64, LdM8U64, LdM16S64, LdM16U64, LdM32S64, LdM32U64, LdM64,
-  LdMF32, LdMF64,
-  StM8, StM16, StM32, StM64, StMF32, StMF64,
-  MemSize, ///< G[A] = pages
-  MemGrow, ///< G[A] = grow(G[B])
-  MemCopy, ///< memmove(G[A], G[B], G[C]) within linear memory
-  MemFill, ///< memset(G[A], G[B], G[C])
-  GlobGet,  ///< G[A] = globals[Imm]
-  GlobGetF, ///< F[A] = globals[Imm]
-  GlobSet, GlobSetF,
-  // --- Control (Imm = target pc) ---
-  Jmp,
-  JmpIf,  ///< if (G[A] != 0) goto Imm
-  JmpIfZ, ///< if (G[A] == 0) goto Imm
-  BrCmp32,  ///< if evalCond32(D, G[A], G[B]) goto Imm
-  BrCmpI32, ///< if evalCond32(D, G[A], Imm2) goto Imm
-  BrCmp64, BrCmpI64,
-  BrTable, ///< goto BrTables[Imm][min(G[A], size-1)]
-  CallDirect,   ///< call function Imm with args at vfp+Imm2
-  CallIndirect, ///< A=table-index reg, Imm=type index, Imm2=arg base
-  Ret,
-  TrapOp, ///< trap with reason Imm
-  // --- Instrumentation & tiering ---
-  ProbeFire, ///< generic probe dispatch at bytecode offset Imm
-  ProbeTosG, ///< optimized probe: pass G[A] (type D) at offset Imm
-  ProbeTosF, ///< optimized probe: pass F[A] (type D) at offset Imm
-  CntInc,    ///< ++*(uint64_t*)Imm  (intrinsified counter probe; Imm is 0
-             ///< until the engine binds the artifact's patch table)
-  DeoptCheck,///< if func->DeoptRequested: tier down to Ip=Imm, Stp=Imm2
-  FuelCheck, ///< governance charge at loop header; traps at bytecode Imm
+#define WISP_MOP(Name) Name,
+#include "machine/mops.def"
   NumOps
 };
 

@@ -27,7 +27,7 @@ bool parseBatchManifest(const std::string &Text,
     if (Toks.empty())
       continue;
     BatchJob Job;
-    if (!parseJobTokens(Toks, LineNo, &Job, Err))
+    if (!parseJobTokens(Toks, LineNo, &Job, Err, "manifest"))
       return false;
     Job.Index = uint32_t(Out->size());
     if (Job.Id.empty())

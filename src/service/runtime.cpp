@@ -42,9 +42,9 @@ std::vector<std::string> jobLineTokens(const std::string &Line) {
 }
 
 bool parseJobTokens(const std::vector<std::string> &Toks, uint32_t LineNo,
-                    BatchJob *Job, std::string *Err) {
+                    BatchJob *Job, std::string *Err, const char *Source) {
   auto Fail = [&](const std::string &Msg) {
-    *Err = strFormat("manifest line %u: %s", LineNo, Msg.c_str());
+    *Err = strFormat("%s line %u: %s", Source, LineNo, Msg.c_str());
     return false;
   };
   Job->Line = LineNo;
@@ -254,7 +254,12 @@ ModuleBytes ModuleResolver::resolve(const std::string &Spec, int Scale,
   if (It != Specs.end())
     return It->second;
   std::vector<uint8_t> Bytes;
-  if (!readFile(Spec, &Bytes)) {
+  std::string FileErr;
+  if (!readFile(Spec, &Bytes, &FileErr)) {
+    if (!FileErr.empty()) {
+      *Err = FileErr;
+      return nullptr;
+    }
     if (Spec == "nop")
       Bytes = nopModule();
     else if (const LineItem *Item = findItem(Spec, Scale, Err))

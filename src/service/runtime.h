@@ -40,10 +40,11 @@ std::vector<std::string> jobLineTokens(const std::string &Line);
 
 /// Parses the tokens of one job line (module spec first) into \p Job,
 /// resolving tier=/config= to a registry name. Leaves Index at 0 and Id
-/// empty unless id= is given. Returns false with a "manifest line
-/// \p LineNo: ..." diagnostic in \p Err on malformed input.
+/// empty unless id= is given. Returns false with a "<\p Source> line
+/// \p LineNo: ..." diagnostic in \p Err on malformed input (Source is
+/// "manifest" for batch files, "serve" for serve's stdin).
 bool parseJobTokens(const std::vector<std::string> &Toks, uint32_t LineNo,
-                    BatchJob *Job, std::string *Err);
+                    BatchJob *Job, std::string *Err, const char *Source);
 
 /// Renders a result list the way report lines print it: "<void>" or
 /// comma-separated valueText()s.
@@ -102,6 +103,8 @@ using ModuleBytes = std::shared_ptr<const std::vector<uint8_t>>;
 
 /// Resolves module specs to bytes: a regular file wins, then "nop", then
 /// an embedded suite item ("suite/name", or a bare name if unambiguous).
+/// A regular file that readFile refuses (above MaxReadFileBytes, or a read
+/// error) is a failure, not a fall-through to the suite names.
 /// Each distinct (spec, scale, m0) resolves once and every suite is
 /// generated once per scale, so repeat specs cost one map lookup.
 /// Failures are not memoized. Thread-safe.

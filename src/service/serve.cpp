@@ -103,6 +103,7 @@ ServeStats runServe(FILE *In, FILE *Out, const ServeOptions &Opts) {
   std::string Line;
   Line.reserve(256);
   char Buf[4096];
+  uint32_t LineNo = 0; // Every stdin line counts, blank and comment too.
   while (!(Opts.InstallSignalHandlers && GServeStop)) {
     Line.clear();
     bool Eof = false;
@@ -122,8 +123,9 @@ ServeStats runServe(FILE *In, FILE *Out, const ServeOptions &Opts) {
         break;
       }
     }
-    if (Eof)
-      break;
+    if (Eof && Line.empty())
+      break; // A last line without a newline is still a line.
+    ++LineNo;
 
     // Control lines first — `shutdown` must work even though it is not a
     // resolvable module spec. Comments strip exactly like manifest lines.
@@ -133,11 +135,10 @@ ServeStats runServe(FILE *In, FILE *Out, const ServeOptions &Opts) {
     if (Toks.size() == 1 && Toks[0] == "shutdown")
       break;
 
-    // Each job line parses as a one-line manifest, so its diagnostics say
-    // "manifest line 1".
+    // Diagnostics name the stdin line: "serve line N: ...".
     ServeJob SJ;
     std::string Err;
-    if (!parseJobTokens(Toks, 1, &SJ.Job, &Err)) {
+    if (!parseJobTokens(Toks, LineNo, &SJ.Job, &Err, "serve")) {
       std::lock_guard<std::mutex> L(OutMu);
       ++Stats.Rejected;
       fprintf(Out, "reject - parse: %s\n", Err.c_str());

@@ -486,8 +486,10 @@ int runAuditMode(const CliOptions &Opt) {
 /// pool, print the deterministic report.
 int runBatchMode(const CliOptions &Opt) {
   std::vector<uint8_t> Bytes;
-  if (!readFile(Opt.Batch, &Bytes)) {
-    fprintf(stderr, "wisp: cannot read manifest '%s'\n", Opt.Batch.c_str());
+  std::string FileErr;
+  if (!readFile(Opt.Batch, &Bytes, &FileErr)) {
+    fprintf(stderr, "wisp: cannot read manifest '%s'%s%s\n",
+            Opt.Batch.c_str(), FileErr.empty() ? "" : ": ", FileErr.c_str());
     return 2;
   }
   std::string Text(Bytes.begin(), Bytes.end());

@@ -199,8 +199,10 @@ int runCampaign(const FuzzOptions &Opt) {
 
 int replayOne(const std::string &Path, unsigned *Divergences) {
   std::vector<uint8_t> Bytes;
-  if (!readFile(Path, &Bytes)) {
-    fprintf(stderr, "wisp-fuzz: cannot read %s\n", Path.c_str());
+  std::string FileErr;
+  if (!readFile(Path, &Bytes, &FileErr)) {
+    fprintf(stderr, "wisp-fuzz: cannot read %s%s%s\n", Path.c_str(),
+            FileErr.empty() ? "" : ": ", FileErr.c_str());
     return 2;
   }
   WasmError Err;

@@ -169,5 +169,26 @@ if(NOT OUT_NONREG MATCHES "done after = <void>" OR
   message(FATAL_ERROR "non-regular module: session did not drain cleanly: ${OUT_NONREG}")
 endif()
 
-file(REMOVE ${SERVE_IN} ${SERVE_IN2} ${SERVE_IN3} ${SERVE_IN4} ${MANIFEST})
+# --- A malformed job line is rejected with the stdin line it came from;
+# --- blank and comment lines count.
+set(SERVE_IN5 ${WISP_WORKDIR}/cli_serve_in5.txt)
+file(WRITE ${SERVE_IN5}
+  "# header comment\n"
+  "\n"
+  "nop tier=spc id=ok\n"
+  "nop tier=spc frobnicate=1\n"
+  "nop fuel=0\n"
+  "shutdown\n")
+run_serve(OUT_PARSE ${SERVE_IN5})
+if(NOT OUT_PARSE MATCHES "reject - parse: serve line 4: unknown key" OR
+   NOT OUT_PARSE MATCHES "reject - parse: serve line 5: bad fuel")
+  message(FATAL_ERROR "parse rejects do not name their stdin line: ${OUT_PARSE}")
+endif()
+if(NOT OUT_PARSE MATCHES "done ok = <void>" OR
+   NOT OUT_PARSE MATCHES "# serve: drained, 1 accepted, 2 rejected")
+  message(FATAL_ERROR "parse rejects: session did not drain cleanly: ${OUT_PARSE}")
+endif()
+
+file(REMOVE ${SERVE_IN} ${SERVE_IN2} ${SERVE_IN3} ${SERVE_IN4} ${SERVE_IN5}
+  ${MANIFEST})
 message(STATUS "cli_serve: static admission precheck verified end to end")

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace wisp;
 
 namespace {
@@ -216,6 +218,168 @@ TEST(Machine, ListingIsPrintable) {
   EXPECT_NE(L.find("imm=7"), std::string::npos);
 }
 
+TEST(Machine, OpcodeNamesComeFromTheOneList) {
+  // MOp and mopName expand the same list (machine/mops.def), so every
+  // opcode has its own name, in encoding order.
+  std::set<std::string> Names;
+  for (size_t Op = 0; Op < size_t(MOp::NumOps); ++Op)
+    EXPECT_TRUE(Names.insert(mopName(MOp(Op))).second) << Op;
+  EXPECT_STREQ(mopName(MOp::Nop), "Nop");
+  EXPECT_STREQ(mopName(MOp::FuelCheck), "FuelCheck");
+  EXPECT_STREQ(mopName(MOp::NumOps), "NumOps");
+  EXPECT_STREQ(mopName(MOp(uint16_t(MOp::NumOps) + 1)), "<bad mop>");
+}
+
+// --- Pointer-pc conversions ----------------------------------------------
+//
+// The executor walks a pointer into the instruction array and turns it back
+// into an index only to write a frame's Pc, to map a trap through the line
+// table, and to resolve a jump target. Each test drives one of them.
+
+bool hasOp(const MCode &Code, MOp Op) {
+  for (const MInst &I : Code.Insts)
+    if (I.Op == Op)
+      return true;
+  return false;
+}
+
+TEST(MachinePc, TrapAfterTakenJumpsReportsTheInterpreterIp) {
+  // f(n): count n down to 0 in a loop closed by a fused compare+branch
+  // (BrCmpI32, taken n-1 times), leave two blocks with a br (Jmp), then
+  // divide by the counter, which is now 0.
+  ModuleBuilder MB;
+  uint32_t Ty = MB.addType({ValType::I32}, {ValType::I32});
+  FuncBuilder &F = MB.addFunc(Ty);
+  F.block();
+  F.block();
+  F.loop();
+  F.localGet(0);
+  F.i32Const(1);
+  F.op(Opcode::I32Sub);
+  F.localSet(0);
+  F.localGet(0);
+  F.i32Const(0);
+  F.op(Opcode::I32GtS);
+  F.brIf(0);
+  F.end();
+  F.br(1);
+  F.end();
+  F.i32Const(99);
+  F.localSet(0);
+  F.end();
+  F.i32Const(10);
+  F.localGet(0);
+  F.op(Opcode::I32DivS);
+  MB.exportFunc("f", MB.funcIndex(F));
+
+  InterpFixture Fx(MB);
+  ASSERT_TRUE(Fx.ok());
+  EXPECT_EQ(Fx.call("f", {Value::makeI32(5)}).Trap, TrapReason::DivByZero);
+  uint32_t InterpIp = Fx.T.TrapIp;
+
+  Fx.jitAll(CompilerOptions::allopt());
+  ASSERT_EQ(Fx.Codes.size(), 1u);
+  EXPECT_TRUE(hasOp(*Fx.Codes[0], MOp::BrCmpI32)) << Fx.Codes[0]->toString();
+  EXPECT_TRUE(hasOp(*Fx.Codes[0], MOp::Jmp)) << Fx.Codes[0]->toString();
+  EXPECT_EQ(Fx.callJit("f", {Value::makeI32(5)}).Trap, TrapReason::DivByZero);
+  EXPECT_EQ(Fx.T.TrapIp, InterpIp);
+  EXPECT_GT(Fx.T.JitCycles, 0u);
+}
+
+TEST(MachinePc, CallDirectReturnResumesAfterTheCall) {
+  // Two hand-assembled functions: f(x) = g(x) + 100, g(x) = 3x. Every
+  // instruction after the call must run exactly once: resuming at the
+  // call recurses until the stack overflows, skipping one loses the
+  // callee's result.
+  ModuleBuilder MB;
+  uint32_t Ty = MB.addType({ValType::I32}, {ValType::I32});
+  MB.addFunc(Ty).unreachable(); // Bodies unused; machine code replaces them.
+  MB.addFunc(Ty).unreachable();
+  MB.exportFunc("f", 0);
+  InterpFixture Fx(MB);
+  ASSERT_TRUE(Fx.ok());
+  MCode Caller, Callee;
+  Caller.FrameSlots = Callee.FrameSlots = 8;
+  Assembler A(Caller);
+  A.emit(MOp::LdSlot, 0, 0, 0, 0, 0);           // g0 = x
+  A.emit(MOp::StSlot, 0, 0, 0, 0, 2);           // argument at vfp+2
+  A.emit(MOp::CallDirect, 0, 0, 0, 0, 1, 2);    // g(x) -> slot 2
+  A.emit(MOp::LdSlot, 1, 0, 0, 0, 2);           // g1 = g(x)
+  A.emit(MOp::AddI32, 1, 1, 0, 0, 100);         // g1 += 100
+  A.emit(MOp::StSlot, 1, 0, 0, 0, 0);
+  A.emit(MOp::Ret);
+  Assembler B(Callee);
+  B.emit(MOp::LdSlot, 0, 0, 0, 0, 0);
+  B.emit(MOp::MulI32, 0, 0, 0, 0, 3);
+  B.emit(MOp::StSlot, 0, 0, 0, 0, 0);
+  B.emit(MOp::Ret);
+  MCode *Codes[] = {&Caller, &Callee};
+  for (uint32_t I = 0; I < 2; ++I) {
+    Fx.Inst->func(I)->Code = Codes[I];
+    Fx.Inst->func(I)->UseJit = true;
+  }
+  // Fuel (one unit per frame push) turns a resume that re-runs the call
+  // into a trap instead of an endless loop.
+  Fx.T.armGovernance(true, 100);
+  EXPECT_EQ(Fx.callJit("f", {Value::makeI32(5)}).one(), Value::makeI32(115));
+  // Modeled cycles are exact: caller 2+2+5+2+1+2+3, callee 2+3+2+3.
+  EXPECT_EQ(Fx.T.JitCycles, 27u);
+  EXPECT_EQ(Fx.callJit("f", {Value::makeI32(-7)}).one(), Value::makeI32(79));
+}
+
+TEST(MachinePc, DeoptCheckTierDownRewritesTheFrame) {
+  // A requested tier-down at a checkpoint turns the running frame into an
+  // interpreter frame at the checkpoint's bytecode coordinates and stops
+  // the executor there, with the cycles run so far charged.
+  MachineFixture Fx({}, {ValType::I32});
+  Assembler A(Fx.Code);
+  A.emit(MOp::MovRI, 0, 0, 0, 0, 1);
+  A.emit(MOp::DeoptCheck, 0, 0, 0, 0, 0x2a, 3);
+  A.emit(MOp::TrapOp, 0, 0, 0, 0, int64_t(TrapReason::Unreachable));
+  FuncInstance *FI = Fx.Inst->func(0);
+  FI->DeoptRequested = true;
+  Fx.T.Frames.clear();
+  ASSERT_TRUE(pushWasmFrame(Fx.T, FI, 0));
+  EXPECT_EQ(runExecutor(Fx.T, 1), RunSignal::SwitchTier);
+  ASSERT_EQ(Fx.T.Frames.size(), 1u);
+  const Frame &F = Fx.T.Frames.back();
+  EXPECT_EQ(F.Kind, FrameKind::Interp);
+  EXPECT_EQ(F.Ip, 0x2au);
+  EXPECT_EQ(F.Stp, 3u);
+  EXPECT_EQ(F.Code, nullptr);
+  EXPECT_EQ(Fx.T.JitCycles, 2u);
+  EXPECT_FALSE(Fx.T.trapped());
+}
+
+TEST(MachinePc, DeoptedCalleeReturnsToTheCallerAfterTheCall) {
+  // f(x) = g(x) + 100 on the SPC with deopt checkpoints; g tiers down at
+  // its entry checkpoint, finishes in the interpreter and returns into
+  // f's machine frame, which resumes from the pc written back at the call.
+  ModuleBuilder MB;
+  uint32_t Ty = MB.addType({ValType::I32}, {ValType::I32});
+  FuncBuilder &G = MB.addFunc(Ty);
+  G.localGet(0);
+  G.i32Const(3);
+  G.op(Opcode::I32Mul);
+  FuncBuilder &F = MB.addFunc(Ty);
+  F.localGet(0);
+  F.call(MB.funcIndex(G));
+  F.i32Const(100);
+  F.op(Opcode::I32Add);
+  MB.exportFunc("f", MB.funcIndex(F));
+  InterpFixture Fx(MB);
+  ASSERT_TRUE(Fx.ok());
+  CompilerOptions Opts = CompilerOptions::allopt();
+  Opts.EmitDeoptChecks = true;
+  Fx.jitAll(Opts);
+  ASSERT_TRUE(hasOp(*Fx.Codes[0], MOp::DeoptCheck));
+  Fx.Inst->func(MB.funcIndex(G))->DeoptRequested = true;
+  Fx.T.armGovernance(true, 100); // As above: a re-run call traps.
+  EXPECT_EQ(Fx.callJit("f", {Value::makeI32(5)}).one(), Value::makeI32(115));
+  EXPECT_GT(Fx.T.InterpSteps, 0u); // g ran interpreted...
+  EXPECT_GT(Fx.T.JitCycles, 0u);   // ...f on the machine, before and after.
+}
+
 // --- Code layout pin of the dispatch loop --------------------------------
 
 TEST(DispatchLayout, PinnedDispatchLoopsAre64ByteAligned) {
@@ -228,6 +392,16 @@ TEST(DispatchLayout, PinnedDispatchLoopsAre64ByteAligned) {
   EXPECT_EQ(Threaded % 64, 0u) << std::hex << Threaded;
   auto Interp = reinterpret_cast<uintptr_t>(&runInterpreter);
   EXPECT_EQ(Interp % 64, 16u) << std::hex << Interp;
+}
+
+TEST(DispatchLayout, ExecutorDispatchFollowsTheBuildOption) {
+  // WISP_THREADED=OFF must reach the executor, not just the interpreter,
+  // so that build really runs the switch fallback.
+#if WISP_THREADED_DISPATCH && (defined(__GNUC__) || defined(__clang__))
+  EXPECT_TRUE(executorThreadedDispatch());
+#else
+  EXPECT_FALSE(executorThreadedDispatch());
+#endif
 }
 
 } // namespace

@@ -16,9 +16,11 @@
 
 #include "engine/registry.h"
 #include "suites/suites.h"
+#include "support/file.h"
 #include "testutil.h"
 
 #include <cstdio>
+#include <fcntl.h>
 #include <thread>
 #include <unistd.h>
 
@@ -112,6 +114,47 @@ TEST(Manifest, ResolvesSuiteItemsAndRejectsUnknownModules) {
   EXPECT_FALSE(resolveBatchModules(&Jobs, &Err));
   EXPECT_NE(Err.find("cannot resolve module"), std::string::npos) << Err;
   EXPECT_NE(Err.find("line 1"), std::string::npos) << Err;
+}
+
+TEST(Manifest, RefusesModuleFilesAboveTheSizeCap) {
+  // Sparse files: ftruncate sets the size without allocating blocks, so
+  // neither the test nor a correct reader needs disk or memory for them.
+  char Dir[] = "/tmp/wisp-test-bigfile-XXXXXX";
+  ASSERT_NE(mkdtemp(Dir), nullptr);
+  std::string Path = std::string(Dir) + "/huge.wasm";
+  for (uint64_t Size : {MaxReadFileBytes + 1, uint64_t(100) << 30}) {
+    int Fd = open(Path.c_str(), O_CREAT | O_WRONLY | O_CLOEXEC, 0600);
+    ASSERT_GE(Fd, 0);
+    ASSERT_EQ(ftruncate(Fd, off_t(Size)), 0);
+    close(Fd);
+
+    std::vector<uint8_t> Bytes;
+    std::string Err;
+    EXPECT_FALSE(readFile(Path, &Bytes, &Err));
+    EXPECT_NE(Err.find("file size cap"), std::string::npos) << Err;
+    EXPECT_NE(Err.find(std::to_string(Size) + " bytes"), std::string::npos)
+        << Err;
+
+    std::vector<BatchJob> Jobs;
+    ASSERT_TRUE(parseBatchManifest(Path + " tier=spc\n", &Jobs, &Err));
+    EXPECT_FALSE(resolveBatchModules(&Jobs, &Err));
+    EXPECT_NE(Err.find("manifest line 1: '" + Path + "'"), std::string::npos)
+        << Err;
+    EXPECT_NE(Err.find("file size cap"), std::string::npos) << Err;
+  }
+  unlink(Path.c_str());
+  rmdir(Dir);
+}
+
+TEST(Manifest, NonFileSpecsStillFallBackToSuiteItems) {
+  // readFile leaves the error empty for names that are not regular
+  // files, so the resolver goes on to the suite names.
+  std::vector<uint8_t> Bytes;
+  std::string Err;
+  EXPECT_FALSE(readFile("polybench/2mm", &Bytes, &Err));
+  EXPECT_TRUE(Err.empty()) << Err;
+  EXPECT_FALSE(readFile("/tmp", &Bytes, &Err));
+  EXPECT_TRUE(Err.empty()) << Err;
 }
 
 // --- Value parsing (shared with the CLI) ---------------------------------
@@ -390,11 +433,18 @@ TEST(Serve, RejectsMalformedLinesAndStopsAtShutdown) {
   EXPECT_EQ(R.Stats.Accepted, 1u);
   EXPECT_EQ(R.Stats.Rejected, 2u);
   ASSERT_EQ(R.lines("reject - parse: ").size(), 2u);
-  EXPECT_NE(R.lines("reject - parse: ")[0].find("unknown key"),
-            std::string::npos);
-  EXPECT_NE(R.lines("reject - parse: ")[1].find("bad fuel"),
-            std::string::npos);
+  EXPECT_EQ(R.lines("reject - parse: ")[0].find("serve line 1: unknown key"),
+            strlen("reject - parse: "));
+  EXPECT_EQ(R.lines("reject - parse: ")[1].find("serve line 2: bad fuel"),
+            strlen("reject - parse: "));
   EXPECT_EQ(R.lines("done ").size(), 1u);
+}
+
+TEST(Serve, LastLineWithoutNewlineIsAJob) {
+  ServeOptions Opts;
+  ServeRun R = serveOn("nop tier=spc id=first\nnop tier=spc id=last", Opts);
+  EXPECT_EQ(R.Stats.Accepted, 2u);
+  EXPECT_EQ(R.lines("done last ").size(), 1u);
 }
 
 TEST(Serve, DefaultIdsComeFromTheParsedKeys) {
