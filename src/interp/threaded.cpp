@@ -9,8 +9,7 @@
 // offsets (no STP bookkeeping on the hot path), and superinstructions
 // covering the dominant op pairs/triples/quads. Dispatch is computed-goto
 // when WISP_THREADED_DISPATCH is on and the compiler supports labels as
-// values; otherwise a portable switch over the same handler bodies
-// (support/dispatch.h).
+// values; otherwise a portable switch over the same handler bodies.
 //
 // The frame contract matches the switch interpreter exactly: Ip/Stp/Sp are
 // written back at observation points (calls, probes, traps, backedge
@@ -28,11 +27,19 @@
 #include "interp/predecode.h"
 #include "runtime/hooks.h"
 #include "runtime/numerics.h"
-#include "support/dispatch.h"
 
 #include <cstring>
 
 using namespace wisp;
+
+#ifndef WISP_THREADED_DISPATCH
+#define WISP_THREADED_DISPATCH 1
+#endif
+#if WISP_THREADED_DISPATCH && (defined(__GNUC__) || defined(__clang__))
+#define WISP_DISPATCH_GOTO 1
+#else
+#define WISP_DISPATCH_GOTO 0
+#endif
 
 #define WISP_UNLIKELY(x) __builtin_expect(!!(x), 0)
 

@@ -33,11 +33,6 @@ namespace wisp {
 __attribute__((aligned(64))) RunSignal
 runExecutor(Thread &T, size_t EntryDepth);
 
-/// True when runExecutor dispatches by computed goto, false when it was
-/// built with the portable switch fallback (WISP_THREADED=OFF or a
-/// compiler without labels as values).
-bool executorThreadedDispatch();
-
 } // namespace wisp
 
 #endif // WISP_MACHINE_EXECUTOR_H

@@ -123,8 +123,11 @@ ServeStats runServe(FILE *In, FILE *Out, const ServeOptions &Opts) {
         break;
       }
     }
-    if (Eof && Line.empty())
-      break; // A last line without a newline is still a line.
+    // A last line without a newline is still a line, but only at a real
+    // end of file: a stop signal can cut a long line after its first
+    // fgets chunks, and that fragment must not run.
+    if (Eof && (Line.empty() || !feof(In)))
+      break;
     ++LineNo;
 
     // Control lines first — `shutdown` must work even though it is not a

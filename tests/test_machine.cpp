@@ -394,14 +394,4 @@ TEST(DispatchLayout, PinnedDispatchLoopsAre64ByteAligned) {
   EXPECT_EQ(Interp % 64, 16u) << std::hex << Interp;
 }
 
-TEST(DispatchLayout, ExecutorDispatchFollowsTheBuildOption) {
-  // WISP_THREADED=OFF must reach the executor, not just the interpreter,
-  // so that build really runs the switch fallback.
-#if WISP_THREADED_DISPATCH && (defined(__GNUC__) || defined(__clang__))
-  EXPECT_TRUE(executorThreadedDispatch());
-#else
-  EXPECT_FALSE(executorThreadedDispatch());
-#endif
-}
-
 } // namespace

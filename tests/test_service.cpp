@@ -19,8 +19,13 @@
 #include "support/file.h"
 #include "testutil.h"
 
+#include <atomic>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <fcntl.h>
+#include <pthread.h>
+#include <sys/ioctl.h>
 #include <thread>
 #include <unistd.h>
 
@@ -445,6 +450,58 @@ TEST(Serve, LastLineWithoutNewlineIsAJob) {
   ServeRun R = serveOn("nop tier=spc id=first\nnop tier=spc id=last", Opts);
   EXPECT_EQ(R.Stats.Accepted, 2u);
   EXPECT_EQ(R.lines("done last ").size(), 1u);
+}
+
+TEST(Serve, StopDuringALongLineDropsTheFragment) {
+  // A stop signal that interrupts the read of a line longer than one
+  // fgets chunk leaves the first chunks read; they are not a job (here the
+  // rest of the line would have carried its fuel= key).
+  int Fds[2];
+  ASSERT_EQ(pipe(Fds), 0);
+  std::string Head = "nop tier=spc id=frag" + std::string(5000, ' ');
+  ASSERT_EQ(write(Fds[1], Head.data(), Head.size()), ssize_t(Head.size()));
+  FILE *In = fdopen(Fds[0], "r");
+  ASSERT_NE(In, nullptr);
+  char *Buf = nullptr;
+  size_t Len = 0;
+  FILE *Out = open_memstream(&Buf, &Len);
+
+  // runServe restores this handler on return, so a signal still in flight
+  // then is harmless.
+  struct sigaction Quiet, Old;
+  memset(&Quiet, 0, sizeof(Quiet));
+  Quiet.sa_handler = [](int) {};
+  sigaction(SIGTERM, &Quiet, &Old);
+
+  // Signal only once the reader has taken every byte, so it holds the
+  // fragment; repeat until runServe returns, since a signal that lands
+  // just before the blocking read does not interrupt it.
+  std::atomic<bool> Done{false};
+  pthread_t Reader = pthread_self();
+  std::thread Stopper([&, R = Fds[0]] {
+    int Pending = 1;
+    while (!Done && ioctl(R, FIONREAD, &Pending) == 0 && Pending > 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    while (!Done) {
+      pthread_kill(Reader, SIGTERM);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+
+  ServeOptions Opts;
+  Opts.InstallSignalHandlers = true;
+  ServeStats Stats = runServe(In, Out, Opts);
+  Done = true;
+  Stopper.join();
+  sigaction(SIGTERM, &Old, nullptr);
+  close(Fds[1]);
+  fclose(In);
+  fclose(Out);
+  std::string Text(Buf, Len);
+  free(Buf);
+
+  EXPECT_EQ(Stats.Accepted, 0u) << Text;
+  EXPECT_EQ(Text.find("done frag"), std::string::npos) << Text;
 }
 
 TEST(Serve, DefaultIdsComeFromTheParsedKeys) {
