@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Measurement utilities shared by the per-figure benchmark binaries:
+/// Measurement utilities shared by the benchmark binaries:
 /// per-item setup/main timing (the paper's T(Mnop)/T(m0)/T(m)
 /// methodology), medians over repeated runs, geometric means, and table
 /// printing. Run counts and workload scale come from WISP_BENCH_RUNS and
@@ -224,19 +224,6 @@ inline void jsonBench(const std::string &Name) {
 inline void jsonRecord(const std::string &Config, const std::string &Item,
                        const std::string &Metric, double Value) {
   JsonSink::instance().record(Config, Item, Metric, Value);
-}
-
-/// Prints a bar-chart row like the paper's figures.
-inline void printBar(const char *Label, double V, double Max,
-                     const char *Fmt = "%6.2f") {
-  int Width = Max > 0 ? int(44.0 * V / Max) : 0;
-  Width = std::max(0, std::min(44, Width));
-  printf("  %-26s ", Label);
-  printf(Fmt, V);
-  printf(" |");
-  for (int I = 0; I < Width; ++I)
-    putchar('#');
-  printf("\n");
 }
 
 } // namespace bench

@@ -19,7 +19,6 @@
 #include "runtime/trap.h"
 #include "wasm/codereader.h"
 
-#include <chrono>
 #include <unordered_map>
 
 using namespace wisp;
@@ -870,7 +869,6 @@ void CopyPatch::run() {
     compileOp(Op);
   }
   Code.Stats.CodeInsts = Code.Insts.size();
-  Code.Stats.InputBytes = F.BodyEnd - F.BodyStart;
 }
 
 } // namespace
@@ -887,13 +885,8 @@ std::unique_ptr<MCode> wisp::compileCopyPatch(const Module &M,
                                               const ProbeSiteOracle *
                                               /*Probes*/) {
   auto Code = std::make_unique<MCode>();
-  auto Start = std::chrono::steady_clock::now();
   CopyPatch C(M, F, *Code);
   C.EmitFuelChecks = Opts.EmitFuelChecks;
   C.run();
-  auto End = std::chrono::steady_clock::now();
-  Code->Stats.TimeNs = uint64_t(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(End - Start)
-          .count());
   return Code;
 }

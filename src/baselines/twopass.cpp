@@ -8,8 +8,6 @@
 
 #include "wasm/codereader.h"
 
-#include <chrono>
-
 using namespace wisp;
 
 namespace {
@@ -98,7 +96,6 @@ std::unique_ptr<MCode> wisp::compileTwoPass(const Module &M,
                                             const FuncDecl &F,
                                             const CompilerOptions &Opts,
                                             const ProbeSiteOracle *Probes) {
-  auto Start = std::chrono::steady_clock::now();
   // Pass 1: lower to the listing IR.
   std::vector<ListOp> Listing = buildListing(M, F);
   // Pass 2: code generation with wazero's feature set (Fig. 3: R only).
@@ -110,10 +107,6 @@ std::unique_ptr<MCode> wisp::compileTwoPass(const Module &M,
   Restricted.Peephole = false;
   Restricted.Tags = TagMode::None; // wazero's host is not garbage-collected.
   std::unique_ptr<MCode> Code = compileFunction(M, F, Restricted, Probes);
-  auto End = std::chrono::steady_clock::now();
-  Code->Stats.TimeNs = uint64_t(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(End - Start)
-          .count());
   // Keep a record of the listing cost in the snapshot-byte statistic so
   // compile-speed analyses can attribute it.
   Code->Stats.SnapshotBytes += Listing.size() * sizeof(ListOp);

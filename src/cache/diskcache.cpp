@@ -121,14 +121,14 @@ private:
 
 // --- Format digest --------------------------------------------------------
 
-uint64_t wisp::diskFormatDigest(uint32_t Revision) {
+uint64_t wisp::diskFormatDigest(uint32_t Revision, uint32_t Format) {
   // Everything that, if it changed between the writing and the reading
   // build, would make a byte-identical artifact mean something different
   // or an artifact stale: the serialization layout version, the codegen
   // revision, the opcode-table cardinalities (an inserted opcode
   // renumbers every successor) and the record shapes.
   KeyHasher H;
-  H.u32(1); // Serialization format version.
+  H.u32(Format);
   H.u32(Revision);
   H.u32(uint32_t(MOp::NumOps));
   H.u32(uint32_t(TOp::Count));
@@ -146,8 +146,6 @@ std::vector<uint8_t> wisp::serializeMCode(const MCode &Code) {
   ByteWriter W(Out);
   W.u32(Code.FuncIndex);
   W.u32(Code.FrameSlots);
-  W.u64(Code.Stats.TimeNs);
-  W.u64(Code.Stats.InputBytes);
   W.u64(Code.Stats.CodeInsts);
   W.u64(Code.Stats.TagStores);
   W.u64(Code.Stats.StackMapBytes);
@@ -203,7 +201,6 @@ std::shared_ptr<MCode> wisp::deserializeMCode(
   ByteReader R(Bytes.data(), Bytes.size());
   auto Code = std::make_shared<MCode>();
   if (!R.u32(&Code->FuncIndex) || !R.u32(&Code->FrameSlots) ||
-      !R.u64(&Code->Stats.TimeNs) || !R.u64(&Code->Stats.InputBytes) ||
       !R.u64(&Code->Stats.CodeInsts) || !R.u64(&Code->Stats.TagStores) ||
       !R.u64(&Code->Stats.StackMapBytes) ||
       !R.u64(&Code->Stats.SnapshotBytes))

@@ -67,13 +67,18 @@ enum class DiskArtifactKind : uint8_t {
 /// Rule: any change to compiler output bumps this constant.
 inline constexpr uint32_t CodegenRevision = 2;
 
+/// Version of the serialized payload layout. Rule: any change to the
+/// fields serializeMCode/serializeThreadedCode write bumps this constant.
+inline constexpr uint32_t DiskFormatVersion = 2;
+
 /// Digest of everything that must match between the wisp build that wrote
 /// an artifact and the one reading it: serialization format version,
 /// codegen revision, opcode-table cardinalities and record layouts. Baked
 /// into every file header; a mismatch rejects the file (invalidation by
-/// construction). \p Revision exists so tests can forge another build's
-/// digest.
-uint64_t diskFormatDigest(uint32_t Revision = CodegenRevision);
+/// construction). \p Revision and \p Format exist so tests can forge
+/// another build's digest.
+uint64_t diskFormatDigest(uint32_t Revision = CodegenRevision,
+                          uint32_t Format = DiskFormatVersion);
 
 /// Serializes \p Code (instructions, branch tables, stackmaps, line
 /// table, OSR entries, patch-point table, stats) into a self-contained

@@ -158,14 +158,6 @@ void bindPatchPoints(MCode &Code, const ProbeRegistry &Probes) {
 
 } // namespace
 
-std::unique_ptr<MCode> Engine::compileOne(const Module &M,
-                                          const FuncDecl &F) {
-  std::unique_ptr<MCode> Code = compileRaw(M, F, Cfg.Opts, Cfg.Compiler);
-  if (Code)
-    bindPatchPoints(*Code, Probes);
-  return Code;
-}
-
 bool Engine::verifyMCodeArtifact(const Module &M, const FuncDecl &F,
                                  const MCode &Code, CompilerKind Kind) {
   if (!Cfg.VerifyArtifacts)
@@ -298,32 +290,8 @@ std::unique_ptr<LoadedModule> Engine::load(std::vector<uint8_t> Bytes,
   // the same pass). Failures are never cached: when this thread ran the
   // builder, Err already carries the diagnostic; a waiter served a failed
   // in-flight build falls back below (its Bytes are untouched — only the
-  // builder lambda consumes them) and reproduces it.
-  bool BuiltHere = false;
-  if (Cache) {
-    LM->M = Cache->getOrBuildModule(
-        moduleCacheKey(Bytes),
-        [&]() -> std::shared_ptr<const Module> {
-          BuiltHere = true;
-          uint64_t D0 = nowNs();
-          std::unique_ptr<Module> M = decodeModule(std::move(Bytes), Err);
-          if (!M)
-            return nullptr;
-          uint64_t D1 = nowNs();
-          LM->Stats.DecodeNs = D1 - D0;
-          if (!validateModule(*M, Err))
-            return nullptr;
-          LM->Stats.ValidateNs = nowNs() - D1;
-          return std::shared_ptr<const Module>(std::move(M));
-        },
-        &LM->Stats);
-    if (!LM->M && BuiltHere)
-      return nullptr;
-  }
-  if (!LM->M) {
-    // Uncached (or cache-declined) decode + validate. wasm3-style
-    // configurations trust the module but still need the side tables, so
-    // both settings run the same validation pass.
+  // builder consumes them) and reproduces it.
+  auto DecodeAndValidate = [&]() -> std::shared_ptr<const Module> {
     uint64_t D0 = nowNs();
     std::unique_ptr<Module> M = decodeModule(std::move(Bytes), Err);
     if (!M)
@@ -333,8 +301,24 @@ std::unique_ptr<LoadedModule> Engine::load(std::vector<uint8_t> Bytes,
     if (!validateModule(*M, Err))
       return nullptr;
     LM->Stats.ValidateNs = nowNs() - D1;
-    LM->M = std::shared_ptr<const Module>(std::move(M));
+    return std::shared_ptr<const Module>(std::move(M));
+  };
+  bool BuiltHere = false;
+  if (Cache) {
+    LM->M = Cache->getOrBuildModule(
+        moduleCacheKey(Bytes),
+        [&] {
+          BuiltHere = true;
+          return DecodeAndValidate();
+        },
+        &LM->Stats);
+    if (!LM->M && BuiltHere)
+      return nullptr;
   }
+  if (!LM->M)
+    LM->M = DecodeAndValidate();
+  if (!LM->M)
+    return nullptr;
   LM->Stats.CodeBytes = LM->M->codeBytes();
 
   // Resource governance: reject modules whose declared minimum footprint

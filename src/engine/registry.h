@@ -33,7 +33,7 @@ struct BaselineFeatureRow {
 /// The six baseline compiler configurations (paper Fig. 3).
 std::vector<EngineConfig> baselineRegistry();
 
-/// Figure 3's descriptive rows (printed by bench_tab3_features).
+/// Figure 3's descriptive rows (printed by `bench_figures tab3`).
 std::vector<BaselineFeatureRow> figure3Rows();
 
 /// The 18 execution-tier configurations of Figure 10.

@@ -7,9 +7,9 @@
 // Executes the pre-decoded threaded IR: one fixed-size unit per dispatch,
 // immediates already decoded and widened, branch targets pre-resolved to IR
 // offsets (no STP bookkeeping on the hot path), and superinstructions
-// covering the dominant op pairs/triples/quads. Dispatch is computed-goto
-// when WISP_THREADED_DISPATCH is on and the compiler supports labels as
-// values; otherwise a portable switch over the same handler bodies.
+// covering the dominant op pairs/triples/quads. Dispatch is computed goto
+// (labels as values), which every compiler this file builds with (GCC and
+// Clang: it also relies on __builtin_expect and aligned(64)) supports.
 //
 // The frame contract matches the switch interpreter exactly: Ip/Stp/Sp are
 // written back at observation points (calls, probes, traps, backedge
@@ -31,15 +31,6 @@
 #include <cstring>
 
 using namespace wisp;
-
-#ifndef WISP_THREADED_DISPATCH
-#define WISP_THREADED_DISPATCH 1
-#endif
-#if WISP_THREADED_DISPATCH && (defined(__GNUC__) || defined(__clang__))
-#define WISP_DISPATCH_GOTO 1
-#else
-#define WISP_DISPATCH_GOTO 0
-#endif
 
 #define WISP_UNLIKELY(x) __builtin_expect(!!(x), 0)
 
@@ -261,8 +252,6 @@ RunSignal wisp::runThreadedInterpreter(Thread &T, size_t EntryDepth) {
   }                                                                            \
   NEXT_AT()
 
-#if WISP_DISPATCH_GOTO
-
   // Token-threaded dispatch: the IR unit holds an index into this table of
   // handler addresses; every handler ends in its own indirect jump, which
   // branch predictors exploit far better than one shared switch jump.
@@ -304,29 +293,6 @@ RunSignal wisp::runThreadedInterpreter(Thread &T, size_t EntryDepth) {
 #define NEXT_AT() DISPATCH()
 
   DISPATCH();
-
-#else // !WISP_DISPATCH_GOTO
-
-  // Portable fallback: the same handler bodies dispatched by a switch over
-  // the handler token (WISP_THREADED=OFF builds and non-GNU compilers).
-#define OP(Name) case TOp::Name:
-#define NEXT_SEQ()                                                             \
-  {                                                                            \
-    ++U;                                                                       \
-    continue;                                                                  \
-  }
-#define NEXT_AT() continue
-
-  for (;;) {
-    ++T.ThreadedSteps;
-    if (WISP_UNLIKELY(HasProbes) && TOp(U->Op) != TOp::FuelGate &&
-        Func->probedAt(U->BcIp)) {
-      if (!probePause())
-        return runInterpreter(T, EntryDepth);
-    }
-    switch (TOp(U->Op)) {
-
-#endif // WISP_DISPATCH_GOTO
 
       OP(Unreachable)
       TRAP(TrapReason::Unreachable);
@@ -621,13 +587,4 @@ RunSignal wisp::runThreadedInterpreter(Thread &T, size_t EntryDepth) {
   }                                                                            \
   NEXT_SEQ();
 #include "interp/handlers.inc"
-
-#if !WISP_DISPATCH_GOTO
-    case TOp::Count:
-      break;
-    }
-    assert(false && "invalid threaded opcode");
-    return RunSignal::Trapped;
-  }
-#endif
 }

@@ -6,12 +6,12 @@
 ///
 /// \file
 /// The threaded-dispatch interpreter tier: executes the pre-decoded IR
-/// built by predecode.h with computed-goto (token-threaded) dispatch under
-/// GCC/Clang, or a portable switch fallback when built with
-/// WISP_THREADED=OFF. Handler bodies are shared with the in-place switch
-/// interpreter through interp/handlers.inc, so the two tiers cannot drift
-/// semantically; frames stay in the bytecode Ip/Stp coordinate system, so
-/// probes, OSR tier-up and deopt tier-down interoperate unchanged.
+/// built by predecode.h with computed-goto (token-threaded) dispatch, a
+/// GCC/Clang extension this tier requires. Handler bodies are shared with
+/// the in-place switch interpreter through interp/handlers.inc, so the two
+/// tiers cannot drift semantically; frames stay in the bytecode Ip/Stp
+/// coordinate system, so probes, OSR tier-up and deopt tier-down
+/// interoperate unchanged.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -174,8 +174,6 @@ struct StackMapEntry {
 
 /// Per-compile statistics, also used by the compile-speed experiments.
 struct CompileStats {
-  uint64_t TimeNs = 0;
-  uint64_t InputBytes = 0;
   uint64_t CodeInsts = 0;
   uint64_t TagStores = 0;   ///< Static count of StTag instructions.
   uint64_t StackMapBytes = 0;

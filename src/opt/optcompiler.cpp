@@ -32,7 +32,6 @@
 #include "wasm/codereader.h"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_map>
 
 using namespace wisp;
@@ -1619,7 +1618,6 @@ void OptCompiler::run() {
 
   Code.FuncIndex = F.Index;
   Code.Stats.CodeInsts = Code.Insts.size();
-  Code.Stats.InputBytes = F.BodyEnd - F.BodyStart;
   Code.Stats.SnapshotBytes = Insts.size() * sizeof(IRInst);
 }
 
@@ -1630,13 +1628,8 @@ std::unique_ptr<MCode> wisp::compileOptimizing(const Module &M,
                                                const CompilerOptions &Opts,
                                                const ProbeSiteOracle *) {
   auto Code = std::make_unique<MCode>();
-  auto Start = std::chrono::steady_clock::now();
   OptCompiler C(M, F, *Code);
   C.EmitFuelChecks = Opts.EmitFuelChecks;
   C.run();
-  auto End = std::chrono::steady_clock::now();
-  Code->Stats.TimeNs = uint64_t(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(End - Start)
-          .count());
   return Code;
 }

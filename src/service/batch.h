@@ -179,9 +179,12 @@ bool bindCall(LoadedModule &LM, const std::string &Invoke,
 
 /// Resolves one module spec the way every job does: a regular file wins,
 /// then "nop", then "suite/item" (or a bare item name if unambiguous).
-/// Prints nothing; returns false with \p Err describing why.
+/// Prints nothing; returns false with \p Err describing why, and with
+/// \p Unknown (if given) set when the spec named neither a file nor a
+/// suite item.
 bool resolveModuleSpec(const std::string &Spec, int Scale, bool UseM0,
-                       std::vector<uint8_t> *Out, std::string *Err);
+                       std::vector<uint8_t> *Out, std::string *Err,
+                       bool *Unknown = nullptr);
 
 /// Maps a tier shorthand (CLI --tier / manifest tier=) to its registry
 /// configuration name, or nullptr for an unknown tier.

@@ -246,7 +246,8 @@ bool bindCall(LoadedModule &LM, const std::string &Invoke,
 // --- Modules ---------------------------------------------------------------
 
 ModuleBytes ModuleResolver::resolve(const std::string &Spec, int Scale,
-                                    bool UseM0, std::string *Err) {
+                                    bool UseM0, std::string *Err,
+                                    bool *Unknown) {
   std::string Key = strFormat("%s\x1f%d\x1f%d", Spec.c_str(), Scale,
                               int(UseM0));
   std::lock_guard<std::mutex> L(Mu);
@@ -262,7 +263,7 @@ ModuleBytes ModuleResolver::resolve(const std::string &Spec, int Scale,
     }
     if (Spec == "nop")
       Bytes = nopModule();
-    else if (const LineItem *Item = findItem(Spec, Scale, Err))
+    else if (const LineItem *Item = findItem(Spec, Scale, Err, Unknown))
       Bytes = UseM0 ? Item->M0Bytes : Item->Bytes;
     else
       return nullptr;
@@ -273,7 +274,7 @@ ModuleBytes ModuleResolver::resolve(const std::string &Spec, int Scale,
 }
 
 const LineItem *ModuleResolver::findItem(const std::string &Spec, int Scale,
-                                         std::string *Err) {
+                                         std::string *Err, bool *Unknown) {
   auto Suite = Suites.find(Scale);
   if (Suite == Suites.end())
     Suite = Suites.emplace(Scale, allSuites(Scale)).first;
@@ -292,18 +293,22 @@ const LineItem *ModuleResolver::findItem(const std::string &Spec, int Scale,
     }
     ByName = &I;
   }
-  if (!ByName)
+  if (!ByName) {
     *Err = strFormat("cannot resolve module '%s' (not a file, not a suite "
                      "item)",
                      Spec.c_str());
+    if (Unknown)
+      *Unknown = true;
+  }
   return ByName;
 }
 
 bool resolveModuleSpec(const std::string &Spec, int Scale, bool UseM0,
-                       std::vector<uint8_t> *Out, std::string *Err) {
+                       std::vector<uint8_t> *Out, std::string *Err,
+                       bool *Unknown) {
   ModuleResolver One;
   std::string Detail;
-  ModuleBytes Bytes = One.resolve(Spec, Scale, UseM0, &Detail);
+  ModuleBytes Bytes = One.resolve(Spec, Scale, UseM0, &Detail, Unknown);
   if (!Bytes) {
     if (Err)
       *Err = Detail;

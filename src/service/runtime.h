@@ -110,15 +110,16 @@ using ModuleBytes = std::shared_ptr<const std::vector<uint8_t>>;
 /// Failures are not memoized. Thread-safe.
 class ModuleResolver {
 public:
-  /// The spec's bytes, or null with a diagnostic in \p Err.
+  /// The spec's bytes, or null with a diagnostic in \p Err. \p Unknown,
+  /// if given, is set when the spec named neither a file nor a suite item.
   ModuleBytes resolve(const std::string &Spec, int Scale, bool UseM0,
-                      std::string *Err);
+                      std::string *Err, bool *Unknown = nullptr);
 
 private:
   /// The suite item \p Spec names at \p Scale, generating the suites on
   /// first use of the scale. Caller holds Mu.
   const LineItem *findItem(const std::string &Spec, int Scale,
-                           std::string *Err);
+                           std::string *Err, bool *Unknown);
 
   std::mutex Mu;
   std::map<int, std::vector<LineItem>> Suites;

@@ -28,7 +28,6 @@
 #include "spc/abstract_state.h"
 #include "wasm/codereader.h"
 
-#include <chrono>
 
 using namespace wisp;
 
@@ -2158,7 +2157,6 @@ void SPC::run() {
   }
   assert(Ctrl.empty() && "unbalanced control stack");
   Code.Stats.CodeInsts = Code.Insts.size();
-  Code.Stats.InputBytes = F.BodyEnd - F.BodyStart;
 }
 
 } // namespace
@@ -2168,12 +2166,7 @@ std::unique_ptr<MCode> wisp::compileFunction(const Module &M,
                                              const CompilerOptions &Opts,
                                              const ProbeSiteOracle *Probes) {
   auto Code = std::make_unique<MCode>();
-  auto Start = std::chrono::steady_clock::now();
   SPC Compiler(M, F, Opts, Probes, *Code);
   Compiler.run();
-  auto End = std::chrono::steady_clock::now();
-  Code->Stats.TimeNs = uint64_t(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(End - Start)
-          .count());
   return Code;
 }

@@ -276,6 +276,19 @@ const NumericFlag NumericFlags[] = {
     {"--max-table-elems=", UINT32_MAX, &CliOptions::MaxTableElems},
 };
 
+/// Resolves the module spec of a single-module mode, printing why it
+/// failed. The --list hint follows only a spec that named neither a file
+/// nor a suite item: a refused or unreadable file is no naming problem.
+bool resolveOrReport(const CliOptions &Opt, std::vector<uint8_t> *Bytes) {
+  std::string Err;
+  bool Unknown = false;
+  if (resolveModuleSpec(Opt.Module, int(Opt.Scale), Opt.UseM0, Bytes, &Err,
+                        &Unknown))
+    return true;
+  fprintf(stderr, "wisp: %s%s\n", Err.c_str(), Unknown ? " (see --list)" : "");
+  return false;
+}
+
 /// Analyze mode: instead of executing, run the whole-module static
 /// analysis and print the report — human-readable by default, the JSON
 /// machine artifact with --json. WISP_ANALYZE_JSON=<path> additionally
@@ -284,12 +297,8 @@ const NumericFlag NumericFlags[] = {
 /// output. Exits 1 when any lint finding fires, 0 on a clean module.
 int runAnalyzeMode(const CliOptions &Opt) {
   std::vector<uint8_t> Bytes;
-  std::string ResolveErr;
-  if (!resolveModuleSpec(Opt.Module, int(Opt.Scale), Opt.UseM0, &Bytes,
-                         &ResolveErr)) {
-    fprintf(stderr, "wisp: %s (see --list)\n", ResolveErr.c_str());
+  if (!resolveOrReport(Opt, &Bytes))
     return 1;
-  }
   WasmError Err;
   std::unique_ptr<Module> M = decodeModule(std::move(Bytes), &Err);
   if (!M) {
@@ -326,12 +335,8 @@ int runAnalyzeMode(const CliOptions &Opt) {
 /// statically verify each artifact, printing a per-compiler report.
 int runAuditMode(const CliOptions &Opt) {
   std::vector<uint8_t> Bytes;
-  std::string ResolveErr;
-  if (!resolveModuleSpec(Opt.Module, int(Opt.Scale), Opt.UseM0, &Bytes,
-                         &ResolveErr)) {
-    fprintf(stderr, "wisp: %s (see --list)\n", ResolveErr.c_str());
+  if (!resolveOrReport(Opt, &Bytes))
     return 1;
-  }
   WasmError Err;
   std::unique_ptr<Module> M = decodeModule(std::move(Bytes), &Err);
   if (!M) {
@@ -784,12 +789,8 @@ int main(int argc, char **argv) {
 
   // Resolve the module bytes.
   std::vector<uint8_t> Bytes;
-  std::string ResolveErr;
-  if (!resolveModuleSpec(Opt.Module, int(Opt.Scale), Opt.UseM0, &Bytes,
-                         &ResolveErr)) {
-    fprintf(stderr, "wisp: %s (see --list)\n", ResolveErr.c_str());
+  if (!resolveOrReport(Opt, &Bytes))
     return 1;
-  }
 
   // Load: decode, validate, instantiate, compile per mode.
   Engine E(Cfg);

@@ -303,6 +303,30 @@ get_filename_component(HERE ${CMAKE_SCRIPT_MODE_FILE} DIRECTORY)
 expect_fail(directory-module "cannot resolve module" ${HERE})
 expect_fail(directory-manifest "cannot read manifest" --batch=${HERE})
 expect_fail(unknown-export "no exported function" --invoke=nonesuch nop)
+# The --list hint follows only a name that is neither a file nor a suite
+# item. A file above the 1 GiB cap (sparse: truncate allocates nothing)
+# is refused for its size, on every single-module mode, with no hint.
+expect_fail(unknown-name-hint "cannot resolve module 'nonesuch'.*see --list"
+            nonesuch)
+set(HUGE ${CMAKE_CURRENT_BINARY_DIR}/cli_errors_huge.wasm)
+execute_process(COMMAND truncate -s 1073741825 ${HUGE} RESULT_VARIABLE RC)
+if(NOT RC EQUAL 0)
+  message(FATAL_ERROR "cannot create the sparse over-cap file ${HUGE}")
+endif()
+foreach(mode run --analyze --audit)
+  set(flag ${mode})
+  if(mode STREQUAL "run")
+    set(flag "")
+  endif()
+  execute_process(COMMAND ${WISP_BIN} ${flag} ${HUGE}
+    OUTPUT_QUIET ERROR_VARIABLE ERR RESULT_VARIABLE RC)
+  if(RC EQUAL 0 OR NOT ERR MATCHES "above the 1073741824-byte file size cap"
+     OR ERR MATCHES "--list")
+    file(REMOVE ${HUGE})
+    message(FATAL_ERROR "over-cap file (${mode}): rc=${RC}: ${ERR}")
+  endif()
+endforeach()
+file(REMOVE ${HUGE})
 
 # --- Out-of-range argument parsing, against the corpus gcd reproducer's
 # --- (i32, i32) signature so parsing (not arity) is what fails.

@@ -346,6 +346,50 @@ TEST(DiskCorruption, OtherCodegenRevisionRebuildsCleanly) {
   });
 }
 
+TEST(DiskCorruption, PreviousFormatVersionRejectedAsStale) {
+  // A well-formed file from the build before DiskFormatVersion 2: its
+  // MCode payload still carries the two u64 stats (compile time, input
+  // bytes) after FuncIndex/FrameSlots, the checksum is valid and the
+  // digest is that build's. It must be rejected by the digest, before
+  // the payload is ever parsed with the new layout.
+  TempDir Tmp;
+  ASSERT_FALSE(Tmp.Path.empty());
+  runOnce("wizard-spc", Tmp.Path);
+  std::unique_ptr<Module> M = buildAndValidate(addModule());
+  ASSERT_TRUE(M);
+  EngineConfig Cfg = diskConfig("wizard-spc", Tmp.Path);
+  CacheKey K = codeCacheKey(moduleContextDigest(*M), *M, M->Funcs[0],
+                            Cfg.Compiler, Cfg.Opts, Cfg.VerifyArtifacts);
+  std::unique_ptr<DiskCache> DC = DiskCache::open(Tmp.Path);
+  ASSERT_TRUE(DC);
+  std::vector<uint8_t> Payload;
+  ASSERT_TRUE(DC->load(K, DiskArtifactKind::Code, &Payload));
+  Payload.insert(Payload.begin() + 8, 16, uint8_t(0x11));
+  ASSERT_TRUE(DC->store(K, DiskArtifactKind::Code, Payload,
+                        /*BuildNs=*/1000));
+  std::vector<std::string> Files =
+      artifactFiles(Tmp.Path, DiskArtifactKind::Code);
+  ASSERT_EQ(Files.size(), 1u);
+  uint64_t Old = diskFormatDigest(CodegenRevision, DiskFormatVersion - 1);
+  ASSERT_NE(Old, diskFormatDigest());
+  FILE *F = fopen(Files[0].c_str(), "r+b");
+  ASSERT_NE(F, nullptr);
+  ASSERT_EQ(fseek(F, 8, SEEK_SET), 0);
+  for (int I = 0; I < 8; ++I)
+    fputc(int((Old >> (8 * I)) & 0xff), F);
+  fclose(F);
+
+  uint64_t Rejected = 0;
+  std::string Note;
+  LoadStats Hurt = runOnce("wizard-spc", Tmp.Path, &Rejected, &Note);
+  EXPECT_EQ(Hurt.DiskHits, 0u);
+  EXPECT_GE(Rejected, 1u);
+  EXPECT_NE(Note.find("stale build/version digest"), std::string::npos)
+      << Note;
+  LoadStats Healed = runOnce("wizard-spc", Tmp.Path);
+  EXPECT_GE(Healed.DiskHits, 1u);
+}
+
 TEST(DiskCorruption, WrongKeyEchoRebuildsCleanly) {
   corruptionRoundTrip([](const std::string &Path) {
     // Corrupt the key echo at offset 16: a renamed/collided file must not
